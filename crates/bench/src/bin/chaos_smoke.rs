@@ -200,10 +200,11 @@ fn serve_matrix() -> (u64, u64) {
     println!(
         "serve matrix: {} cells, {injected_total} injected, \
          {classified_total} classified client-side, {} io-errors and \
-         {} accept-pauses server-side",
+         {} accept-pauses ({} resume retries) server-side",
         kinds.len() * SEEDS.len(),
         stats.io_errors,
         stats.accept_pauses,
+        stats.accept_resume_retries,
     );
     (injected_total, classified_total)
 }

@@ -236,18 +236,39 @@ impl ApiSet {
 
     /// Iterates the raw dense bit indices in ascending order.
     pub fn ids(&self) -> impl Iterator<Item = u32> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(w as u32 * 64 + bit)
-            })
-        })
+        self.words
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| word_ids(w, word))
     }
+
+    /// Iterates the dense bit indices of `self ∩ mask` in ascending order,
+    /// reading only the words where `mask` is non-zero — for a narrow
+    /// mask (the syscall segment is the first six words) most of `self`
+    /// is never touched.
+    pub fn intersection_ids<'s>(
+        &'s self,
+        mask: &'s ApiSet,
+    ) -> impl Iterator<Item = u32> + 's {
+        mask.words
+            .iter()
+            .enumerate()
+            .filter(|&(_, &m)| m != 0)
+            .flat_map(|(w, &m)| word_ids(w, self.words[w] & m))
+    }
+}
+
+/// The bit indices set in `word`, the `w`-th word of a set, ascending.
+fn word_ids(w: usize, word: u64) -> impl Iterator<Item = u32> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        if rest == 0 {
+            return None;
+        }
+        let bit = rest.trailing_zeros();
+        rest &= rest - 1;
+        Some(w as u32 * 64 + bit)
+    })
 }
 
 impl Extend<Api> for ApiSet {

@@ -277,11 +277,28 @@ impl<'m, 'a> CompletenessEngine<'m, 'a> {
     /// The marginal completeness gain of supporting `api`, leaving the
     /// engine's state exactly as it was (add, measure, remove).
     ///
-    /// Probes for APIs that unblock nothing short-circuit without ever
-    /// touching the mass sum — the lazy evaluation that makes sweeping
-    /// every candidate per planning round affordable.
+    /// A read-only pre-check comes first: adding `api` can only flip a
+    /// component for which `api` is the last missing API and whose
+    /// dependencies are all supported. When no component qualifies the
+    /// gain is exactly `0.0` and nothing is touched but `last_flipped`,
+    /// which is cleared as the round trip would leave it. Most probes in
+    /// a planning round end here.
     pub fn probe_gain(&mut self, api: Api) -> f64 {
         if !self.unsupported.contains(api) {
+            return 0.0;
+        }
+        // In the unsupported mask, hence in scope and interned.
+        let id = ApiInterner::global()
+            .intern(api)
+            .expect("unsupported api is interned");
+        let can_flip = self.metrics.comp_dependents[id as usize]
+            .iter()
+            .any(|&c| {
+                self.own_unsupported[c as usize] == 1
+                    && self.bad_deps[c as usize] == 0
+            });
+        if !can_flip {
+            self.flipped.clear();
             return 0.0;
         }
         let delta = self.add_api(api);

@@ -29,8 +29,9 @@ use crate::pipeline::{PackageRecord, StudyData};
 /// serve daemon builds it at snapshot-seal time instead of per
 /// connection). [`Metrics`] derefs to it.
 pub struct MetricsIndex {
-    /// Dependent package indices, indexed by interned API id.
-    pub(crate) dependents: Vec<Vec<usize>>,
+    /// Dependent package indices, indexed by interned API id (`u32`: the
+    /// lists hold millions of entries at paper scale).
+    pub(crate) dependents: Vec<Vec<u32>>,
     /// How many packages *transitively* need each API (by interned id): a
     /// package needs its dependencies' APIs too (you cannot run anything
     /// without libc6's and the dynamic linker's calls). Used to order ties
@@ -48,6 +49,9 @@ pub struct MetricsIndex {
     /// interned API id (deduplicated, ascending).
     pub(crate) comp_dependents: Vec<Vec<u32>>,
     pub(crate) total_mass: f64,
+    /// The syscall importance ranking ([`Metrics::importance_ranking`]),
+    /// computed once here: every greedy plan starts from it.
+    syscall_ranking: Vec<(Api, f64)>,
     /// The package count the index was built from, to catch pairing an
     /// index with the wrong data set.
     packages: usize,
@@ -84,10 +88,10 @@ impl MetricsIndex {
     pub fn build(data: &StudyData) -> Self {
         let interner = ApiInterner::global();
         let universe = interner.universe();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); universe];
+        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); universe];
         for (i, p) in data.packages.iter().enumerate() {
             for id in p.footprint.apis.ids() {
-                dependents[id as usize].push(i);
+                dependents[id as usize].push(i as u32);
             }
         }
         let dep_indices: Vec<Vec<usize>> = data
@@ -131,14 +135,16 @@ impl MetricsIndex {
         }
         let mut comp_dependents: Vec<Vec<u32>> = vec![Vec::new(); universe];
         for (id, pkgs) in dependents.iter().enumerate() {
-            let mut comps: Vec<u32> =
-                pkgs.iter().map(|&i| condensation.comp_of(i)).collect();
+            let mut comps: Vec<u32> = pkgs
+                .iter()
+                .map(|&i| condensation.comp_of(i as usize))
+                .collect();
             comps.sort_unstable();
             comps.dedup();
             comp_dependents[id] = comps;
         }
         let total_mass = data.total_mass();
-        Self {
+        let mut index = Self {
             dependents,
             closure_users,
             condensation,
@@ -146,8 +152,86 @@ impl MetricsIndex {
             comp_closure,
             comp_dependents,
             total_mass,
+            syscall_ranking: Vec::new(),
             packages: data.packages.len(),
+        };
+        index.syscall_ranking = index.rank(data, ApiKind::Syscall);
+        index
+    }
+
+    /// The cached syscall importance ranking, most important first.
+    pub(crate) fn syscall_ranking(&self) -> &[(Api, f64)] {
+        &self.syscall_ranking
+    }
+
+    /// API importance (Appendix A.1) by interned id: `1 − ∏ (1 − p)` over
+    /// the dependents in package order.
+    fn importance_of(&self, data: &StudyData, id: Option<u32>) -> f64 {
+        let pkgs = id.map_or(&[][..], |id| &self.dependents[id as usize]);
+        if pkgs.is_empty() {
+            return 0.0;
         }
+        let miss: f64 = pkgs
+            .iter()
+            .map(|&i| 1.0 - data.packages[i as usize].prob)
+            .product();
+        1.0 - miss
+    }
+
+    /// Every catalog API of one kind with its importance, sorted most
+    /// important first.
+    fn rank(&self, data: &StudyData, kind: ApiKind) -> Vec<(Api, f64)> {
+        let apis: Vec<Api> = match kind {
+            ApiKind::Syscall => data
+                .catalog
+                .syscalls
+                .iter()
+                .map(|d| Api::Syscall(d.number))
+                .collect(),
+            ApiKind::Ioctl => (0..data.catalog.ioctl_ops.len() as u32)
+                .map(Api::Ioctl)
+                .collect(),
+            ApiKind::Fcntl => (0..apistudy_catalog::FCNTL_OPS.len() as u32)
+                .map(Api::Fcntl)
+                .collect(),
+            ApiKind::Prctl => (0..apistudy_catalog::PRCTL_OPS.len() as u32)
+                .map(Api::Prctl)
+                .collect(),
+            ApiKind::PseudoFile => (0..data.catalog.pseudo_files.len() as u32)
+                .map(Api::PseudoFile)
+                .collect(),
+            ApiKind::LibcSymbol => (0..data.catalog.libc.len() as u32)
+                .map(Api::LibcSymbol)
+                .collect(),
+        };
+        // Precompute every sort key once: the comparator runs O(n log n)
+        // times, and the tie-break keys each cost an interner lookup. The
+        // raw user counts order exactly like the fractions the public
+        // accessors expose (same positive divisor).
+        let interner = ApiInterner::global();
+        let mut rows: Vec<(Api, f64, u32, u32)> = apis
+            .into_iter()
+            .map(|a| {
+                let id = interner.intern(a);
+                let (closure, direct) = id.map_or((0, 0), |id| {
+                    (
+                        self.closure_users[id as usize],
+                        self.dependents[id as usize].len() as u32,
+                    )
+                });
+                (a, self.importance_of(data, id), closure, direct)
+            })
+            .collect();
+        rows.sort_by(|x, y| {
+            y.1.total_cmp(&x.1)
+                // Greedy tie-break among equally important APIs: first by
+                // how many packages transitively need them, then by direct
+                // usage (paper §3.2's ordering).
+                .then_with(|| y.2.cmp(&x.2))
+                .then_with(|| y.3.cmp(&x.3))
+                .then_with(|| x.0.cmp(&y.0))
+        });
+        rows.into_iter().map(|(a, imp, _, _)| (a, imp)).collect()
     }
 }
 
@@ -205,7 +289,7 @@ impl<'a> Metrics<'a> {
 
     /// The dependent-package slice for an API (empty when unused or
     /// outside the interned universe).
-    fn dependent_indices(&self, api: Api) -> &[usize] {
+    fn dependent_indices(&self, api: Api) -> &[u32] {
         ApiInterner::global()
             .intern(api)
             .map_or(&[][..], |id| &self.dependents[id as usize])
@@ -213,15 +297,8 @@ impl<'a> Metrics<'a> {
 
     /// API importance (Appendix A.1).
     pub fn importance(&self, api: Api) -> f64 {
-        let pkgs = self.dependent_indices(api);
-        if pkgs.is_empty() {
-            return 0.0;
-        }
-        let miss: f64 = pkgs
-            .iter()
-            .map(|&i| 1.0 - self.data.packages[i].prob)
-            .product();
-        1.0 - miss
+        self.index
+            .importance_of(self.data, ApiInterner::global().intern(api))
     }
 
     /// Unweighted API importance (§5): fraction of packages using the API.
@@ -238,65 +315,19 @@ impl<'a> Metrics<'a> {
         let mut out: Vec<&PackageRecord> = self
             .dependent_indices(api)
             .iter()
-            .map(|&i| &self.data.packages[i])
+            .map(|&i| &self.data.packages[i as usize])
             .collect();
         out.sort_by(|a, b| b.prob.total_cmp(&a.prob).then(a.name.cmp(&b.name)));
         out
     }
 
-    /// Importance of every catalog API of one kind, descending.
+    /// Importance of every catalog API of one kind, descending. The
+    /// syscall ranking is the index's cached copy.
     pub fn importance_ranking(&self, kind: ApiKind) -> Vec<(Api, f64)> {
-        let apis: Vec<Api> = match kind {
-            ApiKind::Syscall => self
-                .data
-                .catalog
-                .syscalls
-                .iter()
-                .map(|d| Api::Syscall(d.number))
-                .collect(),
-            ApiKind::Ioctl => (0..self.data.catalog.ioctl_ops.len() as u32)
-                .map(Api::Ioctl)
-                .collect(),
-            ApiKind::Fcntl => (0..apistudy_catalog::FCNTL_OPS.len() as u32)
-                .map(Api::Fcntl)
-                .collect(),
-            ApiKind::Prctl => (0..apistudy_catalog::PRCTL_OPS.len() as u32)
-                .map(Api::Prctl)
-                .collect(),
-            ApiKind::PseudoFile => (0..self.data.catalog.pseudo_files.len() as u32)
-                .map(Api::PseudoFile)
-                .collect(),
-            ApiKind::LibcSymbol => (0..self.data.catalog.libc.len() as u32)
-                .map(Api::LibcSymbol)
-                .collect(),
-        };
-        // Precompute every sort key once: the comparator runs O(n log n)
-        // times, and the tie-break keys each cost an interner lookup. The
-        // raw user counts order exactly like the fractions the public
-        // accessors expose (same positive divisor).
-        let interner = ApiInterner::global();
-        let mut rows: Vec<(Api, f64, u32, u32)> = apis
-            .into_iter()
-            .map(|a| {
-                let (closure, direct) = interner.intern(a).map_or((0, 0), |id| {
-                    (
-                        self.closure_users[id as usize],
-                        self.dependents[id as usize].len() as u32,
-                    )
-                });
-                (a, self.importance(a), closure, direct)
-            })
-            .collect();
-        rows.sort_by(|x, y| {
-            y.1.total_cmp(&x.1)
-                // Greedy tie-break among equally important APIs: first by
-                // how many packages transitively need them, then by direct
-                // usage (paper §3.2's ordering).
-                .then_with(|| y.2.cmp(&x.2))
-                .then_with(|| y.3.cmp(&x.3))
-                .then_with(|| x.0.cmp(&y.0))
-        });
-        rows.into_iter().map(|(a, imp, _, _)| (a, imp)).collect()
+        match kind {
+            ApiKind::Syscall => self.syscall_ranking().to_vec(),
+            _ => self.index.rank(self.data, kind),
+        }
     }
 
     /// Weighted completeness of a system supporting `supported`, measured
@@ -697,6 +728,55 @@ mod tests {
         let c = m.syscall_completeness(&supported);
         let expect = 1.0 / (0.9 + 0.8 + 1.0 + 0.3);
         assert!((c - expect).abs() < 1e-12, "{c} vs {expect}");
+    }
+
+    #[test]
+    fn cached_syscall_ranking_equals_a_fresh_computation() {
+        use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
+        let synth = StudyData::from_synth(&SynthRepo::new(
+            Scale { packages: 200, installations: 50_000 },
+            CalibrationSpec::default(),
+            11,
+        ));
+        for data in [fixture(), cyclic_fixture(), synth] {
+            let m = Metrics::new(&data);
+            // Recomputed from the public per-API accessors with the
+            // documented order: importance, then closure users, then
+            // direct users (both as fractions of one package count), then
+            // API order.
+            let mut fresh: Vec<(Api, f64)> = data
+                .catalog
+                .syscalls
+                .iter()
+                .map(|d| Api::Syscall(d.number))
+                .map(|api| (api, m.importance(api)))
+                .collect();
+            fresh.sort_by(|x, y| {
+                y.1.total_cmp(&x.1)
+                    .then_with(|| {
+                        m.closure_unweighted_importance(y.0)
+                            .total_cmp(&m.closure_unweighted_importance(x.0))
+                    })
+                    .then_with(|| {
+                        m.unweighted_importance(y.0)
+                            .total_cmp(&m.unweighted_importance(x.0))
+                    })
+                    .then_with(|| x.0.cmp(&y.0))
+            });
+            let bits = |r: &[(Api, f64)]| -> Vec<(Api, u64)> {
+                r.iter().map(|&(a, v)| (a, v.to_bits())).collect()
+            };
+            assert_eq!(
+                bits(&m.importance_ranking(ApiKind::Syscall)),
+                bits(&fresh)
+            );
+            // A handle over the same shared index reads the same cache.
+            let shared = Metrics::with_index(&data, Arc::clone(m.index()));
+            assert_eq!(
+                bits(&shared.importance_ranking(ApiKind::Syscall)),
+                bits(&fresh)
+            );
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
-use apistudy_catalog::{Api, ApiKind};
+use apistudy_catalog::{Api, ApiInterner, ApiSet};
 
 use crate::cache::fold_hash;
 use crate::engine::CompletenessEngine;
@@ -39,9 +39,9 @@ impl CompletenessCurve {
     pub fn compute(metrics: &Metrics<'_>) -> Self {
         let data = metrics.data();
         let ranking: Vec<u32> = metrics
-            .importance_ranking(ApiKind::Syscall)
-            .into_iter()
-            .map(|(api, _)| match api {
+            .syscall_ranking()
+            .iter()
+            .map(|&(api, _)| match api {
                 Api::Syscall(n) => n,
                 _ => unreachable!("syscall ranking"),
             })
@@ -327,30 +327,41 @@ fn run_greedy_replayed<E>(
     struct Cand {
         nr: u32,
         api: Api,
+        /// Interned id: this candidate's slot in `ub`.
+        id: u32,
         /// Position in the importance ranking (tie-break order).
         rank: usize,
-        /// Non-increasing upper bound on this candidate's gain.
-        ub: f64,
     }
+    let interner = ApiInterner::global();
     let mut cands: Vec<Cand> = metrics
-        .importance_ranking(ApiKind::Syscall)
-        .into_iter()
+        .syscall_ranking()
+        .iter()
         .enumerate()
-        .filter_map(|(rank, (api, _))| match api {
-            Api::Syscall(nr) if !supported.contains(&nr) => {
-                Some(Cand { nr, api, rank, ub: 0.0 })
-            }
+        .filter_map(|(rank, &(api, _))| match api {
+            Api::Syscall(nr) if !supported.contains(&nr) => Some(Cand {
+                nr,
+                api,
+                // The engine's scope mask already holds every catalog
+                // syscall, so each one is interned.
+                id: interner.intern(api).expect("catalog syscall is interned"),
+                rank,
+            }),
             _ => None,
         })
         .collect();
-    for (c, &mass) in comp_mass.iter().enumerate().take(ncomp) {
+    // Non-increasing upper bound on each candidate's gain, by interned
+    // id: the mass of the failing components whose closure contains it.
+    // Each failing closure is ANDed with the candidate mask, so only the
+    // syscall words are read, and every bound sums its masses in
+    // ascending component order.
+    let mut mask: ApiSet = cands.iter().map(|c| c.api).collect();
+    let mut ub = vec![0.0f64; interner.universe()];
+    for (c, &mass) in comp_mass.iter().enumerate() {
         if engine.comp_ok(c as u32) || mass == 0.0 {
             continue;
         }
-        for cand in cands.iter_mut() {
-            if metrics.comp_closure[c].contains(cand.api) {
-                cand.ub += mass;
-            }
+        for id in metrics.comp_closure[c].intersection_ids(&mask) {
+            ub[id as usize] += mass;
         }
     }
 
@@ -374,14 +385,16 @@ fn run_greedy_replayed<E>(
             (bi, Some((gain_bits, after_bits)))
         } else {
             cands.sort_by(|x, y| {
-                y.ub.total_cmp(&x.ub).then(x.rank.cmp(&y.rank))
+                ub[y.id as usize]
+                    .total_cmp(&ub[x.id as usize])
+                    .then(x.rank.cmp(&y.rank))
             });
             // Probe in descending-bound order until no remaining bound
             // can beat the best exact gain seen.
             let mut best: Option<(usize, f64)> = None;
             for (i, cand) in cands.iter().enumerate() {
                 if let Some((_, bg)) = best {
-                    if bg > cand.ub + UB_SLACK {
+                    if bg > ub[cand.id as usize] + UB_SLACK {
                         break;
                     }
                 }
@@ -434,17 +447,15 @@ fn run_greedy_replayed<E>(
         }
         picks.push((nr, delta));
         after.push(cum);
-        let flipped: Vec<u32> = engine.last_flipped().to_vec();
-        cands.swap_remove(bi);
-        for &c in &flipped {
+        mask.remove(cands.swap_remove(bi).api);
+        for &c in engine.last_flipped() {
             let mass = comp_mass[c as usize];
             if mass == 0.0 {
                 continue;
             }
-            for cand in cands.iter_mut() {
-                if metrics.comp_closure[c as usize].contains(cand.api) {
-                    cand.ub -= mass;
-                }
+            for id in metrics.comp_closure[c as usize].intersection_ids(&mask)
+            {
+                ub[id as usize] -= mass;
             }
         }
     }
@@ -574,30 +585,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn greedy_matches_exhaustive_oracle() {
-        // The lazy bound-pruned greedy must pick exactly what a brute
-        // force greedy — every candidate re-evaluated from scratch every
-        // round — picks, gains bit-identical.
-        let data = StudyData::from_synth(&SynthRepo::new(
-            Scale { packages: 150, installations: 40_000 },
-            CalibrationSpec::default(),
-            7,
-        ));
-        let metrics = Metrics::new(&data);
-        let rounds = 25;
-        let lazy = greedy_suggestions(&metrics, &HashSet::new(), rounds);
-        assert_eq!(lazy.len(), rounds);
-
+    /// Brute-force greedy: every remaining candidate re-evaluated from
+    /// scratch every round, ties broken by importance rank. The lazy
+    /// bound-pruned greedy must pick exactly this, gains bit-identical.
+    fn assert_matches_exhaustive_oracle(
+        metrics: &Metrics<'_>,
+        start: &HashSet<u32>,
+        rounds: usize,
+    ) {
+        let lazy = greedy_suggestions(metrics, start, rounds);
         let ranking: Vec<u32> = metrics
-            .importance_ranking(ApiKind::Syscall)
+            .importance_ranking(apistudy_catalog::ApiKind::Syscall)
             .into_iter()
             .map(|(api, _)| match api {
                 Api::Syscall(nr) => nr,
                 _ => unreachable!(),
             })
             .collect();
-        let mut supported: HashSet<u32> = HashSet::new();
+        let available = ranking.iter().filter(|nr| !start.contains(nr));
+        assert_eq!(lazy.len(), rounds.min(available.count()));
+
+        let mut supported = start.clone();
         let mut current = metrics.syscall_completeness(&supported);
         for (round, &(picked, gain)) in lazy.iter().enumerate() {
             let mut best: Option<(u32, f64, usize)> = None;
@@ -617,14 +625,44 @@ mod tests {
                 }
             }
             let (oracle_nr, oracle_gain, _) = best.unwrap();
-            assert_eq!(picked, oracle_nr, "round {round}");
+            let label = start.len();
+            assert_eq!(picked, oracle_nr, "start {label}, round {round}");
             assert_eq!(
                 gain.to_bits(),
                 oracle_gain.to_bits(),
-                "round {round} gain"
+                "start {label}, round {round} gain"
             );
             supported.insert(picked);
             current = metrics.syscall_completeness(&supported);
+        }
+    }
+
+    #[test]
+    fn greedy_matches_exhaustive_oracle() {
+        let data = StudyData::from_synth(&SynthRepo::new(
+            Scale { packages: 150, installations: 40_000 },
+            CalibrationSpec::default(),
+            7,
+        ));
+        let metrics = Metrics::new(&data);
+        assert_matches_exhaustive_oracle(&metrics, &HashSet::new(), 25);
+        // Non-empty starting sets, each syscall supported with the given
+        // probability (0.6 is the daemon's regime): the bounds then start
+        // from a partly supported engine and most probes flip nothing.
+        for (seed, density) in [(1u64, 0.3), (2, 0.6), (3, 0.9)] {
+            let start: HashSet<u32> = data
+                .catalog
+                .syscalls
+                .iter()
+                .map(|d| d.number)
+                .filter(|&nr| {
+                    let h = fold_hash(seed, u64::from(nr));
+                    ((h >> 11) as f64) < density * (1u64 << 53) as f64
+                })
+                .collect();
+            let share = start.len() as f64 / data.catalog.syscalls.len() as f64;
+            assert!((share - density).abs() < 0.1, "density {density}: {share}");
+            assert_matches_exhaustive_oracle(&metrics, &start, 25);
         }
     }
 

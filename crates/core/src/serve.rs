@@ -273,6 +273,10 @@ pub struct ServeStats {
     /// shed one queued connection with a classified `Busy`, and
     /// accepting resumed once a connection slot was released.
     pub accept_pauses: u64,
+    /// Failed attempts to re-register the listener after an accept
+    /// pause (`epoll_ctl(ADD)` refused). Each one is retried after a
+    /// bounded backoff, so the reactor never sleeps deaf.
+    pub accept_resume_retries: u64,
 }
 
 #[derive(Default)]
@@ -289,6 +293,7 @@ struct StatCells {
     batch_requests: AtomicU64,
     io_errors: AtomicU64,
     accept_pauses: AtomicU64,
+    accept_resume_retries: AtomicU64,
 }
 
 // ---------------------------------------------------------------------------
@@ -441,6 +446,9 @@ impl Shared {
             batch_requests: s.batch_requests.load(Ordering::Relaxed),
             io_errors: s.io_errors.load(Ordering::Relaxed),
             accept_pauses: s.accept_pauses.load(Ordering::Relaxed),
+            accept_resume_retries: s
+                .accept_resume_retries
+                .load(Ordering::Relaxed),
         }
     }
 }
@@ -717,6 +725,11 @@ impl FdReserve {
     }
 }
 
+/// The first bound on the reactor's sleep while accepting is paused.
+const RESUME_BACKOFF_MIN: Duration = Duration::from_millis(1);
+/// The largest bound on the reactor's sleep while accepting is paused.
+const RESUME_BACKOFF_CAP: Duration = Duration::from_millis(10);
+
 fn reactor_run(
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -736,6 +749,10 @@ fn reactor_run(
     // connection has closed (fewer live than at the pause), which is
     // what frees a descriptor.
     let mut paused_at: Option<usize> = None;
+    // While paused, the longest the next sleep may last before the
+    // reactor re-checks whether it can resume: doubled on every paused
+    // sleep up to `RESUME_BACKOFF_CAP`, reset once accepting resumes.
+    let mut resume_backoff = RESUME_BACKOFF_MIN;
 
     loop {
         // Fd-exhaustion recovery: a closed connection released a
@@ -748,6 +765,11 @@ fn reactor_run(
                     .is_ok()
                 {
                     paused_at = None;
+                } else {
+                    shared
+                        .stats
+                        .accept_resume_retries
+                        .fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -813,6 +835,17 @@ fn reactor_run(
         // lost wakeup here would otherwise strand it forever.
         if !lock_or_inner(&shared.done).is_empty() {
             timeout = Some(Duration::ZERO);
+        }
+        // While accepting is paused the listener is not registered, so
+        // nothing may wake a reactor with no connection deadlines: bound
+        // the sleep so the re-registration above is retried.
+        if paused_at.is_some() {
+            timeout = Some(timeout.map_or(resume_backoff, |t| {
+                t.min(resume_backoff)
+            }));
+            resume_backoff = (resume_backoff * 2).min(RESUME_BACKOFF_CAP);
+        } else {
+            resume_backoff = RESUME_BACKOFF_MIN;
         }
         let batch = ep.wait(&mut events, timeout)?;
         ready.clear();
@@ -940,8 +973,11 @@ fn accept_burst(
     }
 }
 
-/// Read until the socket would block, then parse whole frames out of the
-/// accumulation buffer.
+/// Read what the socket holds, then parse whole frames out of the
+/// accumulation buffer. A read that fills less than its chunk has
+/// drained the socket, so the loop stops there instead of paying one
+/// more `read` (and chunk clear) for the `EAGAIN`: epoll is
+/// level-triggered and reports the socket again if more has arrived.
 fn handle_readable(conn: &mut Conn, shared: &Arc<Shared>) {
     let fd = conn.stream.as_raw_fd();
     let mut eof = false;
@@ -954,7 +990,12 @@ fn handle_readable(conn: &mut Conn, shared: &Arc<Shared>) {
                 eof = true;
                 break;
             }
-            Ok(n) => conn.rbuf.truncate(old + n),
+            Ok(n) => {
+                conn.rbuf.truncate(old + n);
+                if n < READ_CHUNK {
+                    break;
+                }
+            }
             Err(e) => {
                 conn.rbuf.truncate(old);
                 match e.kind() {
@@ -1124,15 +1165,21 @@ enum Front {
 
 /// Move pending items toward the wire in request order: frame ready
 /// replies, answer fast-path work inline (`Ping`, cache hits, all-inline
-/// batches — no worker round trip, the p50 path), and cut one job for
-/// the worker pool at the first request that needs real compute.
+/// batches, session ops — no worker round trip, the p50 path), and cut
+/// one job for the worker pool at the first request that needs real
+/// compute.
 fn pump(token: u64, conn: &mut Conn, shared: &Arc<Shared>) -> Option<Job> {
     while !conn.inflight {
         let front = match conn.pending.front() {
             None => Front::Empty,
             Some(PendingItem::Reply(_)) => Front::Reply,
             Some(PendingItem::Work(req)) => {
-                match inline_payload(req, &conn.snap, shared) {
+                match inline_payload(
+                    req,
+                    &conn.snap,
+                    &mut conn.session,
+                    shared,
+                ) {
                     Some(payload) => Front::WorkInline(payload),
                     None => Front::WorkJob,
                 }
@@ -1295,14 +1342,19 @@ fn is_pure(req: &Request) -> bool {
     )
 }
 
-/// The reactor-thread fast path: answers that need no compute and no
-/// session — `Ping`, cached pure queries, and batches made entirely of
-/// those — skip the worker round trip. Returns the encoded reply payload,
-/// or `None` to dispatch a job. Counters are committed only on success,
-/// so a half-inlineable batch is not half-counted.
+/// The reactor-thread fast path: cheap answers skip the worker round
+/// trip — `Ping`, cached pure queries, batches made entirely of those,
+/// and add/remove/probe on the connection's resident session, which
+/// touch only the components the API reaches (plus one mass sum when a
+/// verdict flips). Opening a session builds an engine and stays a job,
+/// as does a session op inside a batch, because a batch that turns out
+/// not to be inlineable would replay it. Returns the encoded reply
+/// payload, or `None` to dispatch a job. Counters are committed only on
+/// success, so a half-inlineable batch is not half-counted.
 fn inline_payload(
     req: &Request,
     snap: &Arc<Snapshot>,
+    session: &mut Option<SessionBox>,
     shared: &Shared,
 ) -> Option<Vec<u8>> {
     fn one(req: &Request, snap: &Snapshot, cache_on: bool) -> Option<(Vec<u8>, bool)> {
@@ -1332,6 +1384,13 @@ fn inline_payload(
             s.batch_requests.fetch_add(subs.len() as u64, Ordering::Relaxed);
             s.cache_hits.fetch_add(hits, Ordering::Relaxed);
             Some(payload)
+        }
+        Request::SessionAdd { .. }
+        | Request::SessionRemove { .. }
+        | Request::SessionProbe { .. }
+            if session.is_some() =>
+        {
+            Some(answer_one(req, snap, session, shared).0)
         }
         _ => {
             let (payload, hit) = one(req, snap, cache_on)?;
@@ -2119,6 +2178,82 @@ mod tests {
     }
 
     #[test]
+    fn session_ops_apply_once_in_order_inline_and_in_batches() {
+        let study = small_study();
+        let reference = small_study();
+        let m = reference.metrics();
+        let server =
+            Server::start(study, None, test_opts()).expect("start");
+        let mut c = client(&server);
+        let start: HashSet<u32> = (0..40).collect();
+        let mut engine = CompletenessEngine::for_syscalls(&m, &start);
+        let session = |delta: f64, engine: &CompletenessEngine<'_, '_>| {
+            Response::Session {
+                delta_bits: delta.to_bits(),
+                completeness_bits: engine.completeness().to_bits(),
+            }
+        };
+
+        // Pipelined: the open and the suggest run on workers, the ops
+        // between them inline once the session is resident, and every
+        // reply comes back in request order.
+        let mut supported: Vec<u32> = start.iter().copied().collect();
+        supported.sort_unstable();
+        let replies = c
+            .call_pipelined(&[
+                Request::SessionOpen { supported: supported.clone() },
+                Request::SessionAdd { nr: 60 },
+                Request::SessionProbe { nr: 61 },
+                Request::Suggest { supported, limit: 2 },
+                Request::SessionRemove { nr: 60 },
+                Request::SessionAdd { nr: 62 },
+            ])
+            .expect("pipelined");
+        let mut expect = vec![session(0.0, &engine)];
+        let d = engine.add_api(Api::Syscall(60));
+        expect.push(session(d, &engine));
+        let d = engine.probe_gain(Api::Syscall(61));
+        expect.push(session(d, &engine));
+        expect.push(Response::Suggest {
+            picks: greedy_suggestions(&m, &start, 2)
+                .into_iter()
+                .map(|(nr, g)| (nr, g.to_bits()))
+                .collect(),
+        });
+        let d = engine.remove_api(Api::Syscall(60));
+        expect.push(session(d, &engine));
+        let d = engine.add_api(Api::Syscall(62));
+        expect.push(session(d, &engine));
+        assert_eq!(replies, expect);
+
+        // In a batch with a job-bound member, the session ops run once,
+        // on the worker, in order.
+        let Response::Batch(subs) = c
+            .call(&Request::Batch(vec![
+                Request::SessionAdd { nr: 63 },
+                Request::Completeness { supported: vec![1, 2, 3] },
+                Request::SessionProbe { nr: 64 },
+            ]))
+            .expect("batch")
+        else {
+            panic!("expected Batch");
+        };
+        let d = engine.add_api(Api::Syscall(63));
+        let first = session(d, &engine);
+        let d = engine.probe_gain(Api::Syscall(64));
+        assert_eq!(subs[0], first);
+        assert_eq!(subs[2], session(d, &engine));
+        let Response::Session { completeness_bits, .. } =
+            c.call(&Request::SessionProbe { nr: 63 }).expect("probe")
+        else {
+            panic!("expected Session");
+        };
+        assert_eq!(completeness_bits, engine.completeness().to_bits());
+        server.shutdown();
+        server.wait();
+    }
+
+    #[test]
     fn pipelined_and_batch_replies_are_ordered_and_bit_identical() {
         let study = small_study();
         let reference = small_study();
@@ -2512,6 +2647,24 @@ mod tests {
         assert_eq!(fingerprint, new_fp);
         assert_eq!(generation, 1);
         assert_eq!(server.stats().reloads, 1);
+
+        // The swapped-in snapshot carries its own index, and with it its
+        // own cached syscall ranking: the rebuilt corpus's, recomputed
+        // from scratch, not the boot snapshot's.
+        let live = server.shared.live();
+        assert_eq!(live.generation, 1);
+        let ranking = |m: &Metrics<'_>| -> Vec<(Api, u64)> {
+            m.importance_ranking(apistudy_catalog::ApiKind::Syscall)
+                .into_iter()
+                .map(|(api, v)| (api, v.to_bits()))
+                .collect()
+        };
+        let fresh = Metrics::new(live.study.data());
+        assert!(!Arc::ptr_eq(&live.index, fresh.index()));
+        assert_eq!(ranking(&live.metrics()), ranking(&fresh));
+        let boot = small_study();
+        let boot_ranking = ranking(&Metrics::new(boot.data()));
+        assert_ne!(ranking(&live.metrics()), boot_ranking);
         server.shutdown();
         server.wait();
     }

@@ -235,6 +235,29 @@ proptest! {
     }
 
     #[test]
+    fn intersection_ids_match_btreeset(
+        a in proptest::collection::vec(0u32..2460, 0..150),
+        mask in proptest::collection::vec(0u32..2460, 0..40),
+    ) {
+        let a: Vec<u32> = a.into_iter().filter(|&i| i < universe()).collect();
+        let mask: Vec<u32> = mask.into_iter().filter(|&i| i < universe()).collect();
+        let (apis_a, apis_mask) = (apis_of(&a), apis_of(&mask));
+        let bits_a: ApiSet = apis_a.iter().copied().collect();
+        let bits_mask: ApiSet = apis_mask.iter().copied().collect();
+        let tree_a: BTreeSet<Api> = apis_a.iter().copied().collect();
+        let tree_mask: BTreeSet<Api> = apis_mask.iter().copied().collect();
+
+        let interner = ApiInterner::global();
+        let expect: Vec<u32> = tree_a
+            .intersection(&tree_mask)
+            .map(|&api| interner.intern(api).unwrap())
+            .collect();
+        let got: Vec<u32> = bits_a.intersection_ids(&bits_mask).collect();
+        prop_assert_eq!(&got, &expect);
+        prop_assert_eq!(got.len(), bits_a.intersection_len(&bits_mask));
+    }
+
+    #[test]
     fn insert_reports_freshness_like_btreeset(
         ids in proptest::collection::vec(0u32..2460, 1..120),
     ) {

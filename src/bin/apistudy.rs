@@ -880,7 +880,7 @@ fn run_serve(
         "drained: {} connections, {} requests served, {} busy-rejected, \
          {} malformed, {} deadline-closed, {} reloads; \
          cache {} hits / {} misses; batch {} frames / {} sub-requests; \
-         {} io-errors, {} accept-pauses",
+         {} io-errors, {} accept-pauses ({} resume retries)",
         stats.connections,
         stats.served,
         stats.rejected_busy,
@@ -893,6 +893,7 @@ fn run_serve(
         stats.batch_requests,
         stats.io_errors,
         stats.accept_pauses,
+        stats.accept_resume_retries,
     );
     if fault_spec.is_some() {
         let injected = apistudy::core::sysfault::clear();

@@ -400,39 +400,71 @@ proptest! {
     // An engine driven through an arbitrary add/remove sequence reports
     // exactly what a from-scratch evaluation of the final set reports —
     // after every single operation, and each op's delta accounts for the
-    // completeness movement exactly.
+    // completeness movement exactly. Probes are interleaved: each returns
+    // the bits an explicit add+remove round trip on a never-probed shadow
+    // engine returns, and leaves completeness, the flipped list and the
+    // next op's delta exactly as the shadow has them.
     #[test]
     fn engine_matches_scratch_after_every_op(
         weights in proptest::collection::vec(1u32..100, 2..10),
         masks in proptest::collection::vec(any::<u8>(), 10..11),
         edges in proptest::collection::vec((0usize..10, 0usize..10), 0..25),
-        ops in proptest::collection::vec((any::<bool>(), 0u32..8), 1..30),
+        ops in proptest::collection::vec((0u8..3, 0u32..8), 1..30),
     ) {
         use apistudy::core::CompletenessEngine;
         let data = random_dep_study(&weights, &masks, &edges);
         let metrics = Metrics::new(&data);
         let mut supported: HashSet<u32> = HashSet::new();
         let mut engine = CompletenessEngine::for_syscalls(&metrics, &supported);
-        for &(add, nr) in &ops {
+        let mut shadow = CompletenessEngine::for_syscalls(&metrics, &supported);
+        for &(op, nr) in &ops {
+            let api = Api::Syscall(nr);
             let before = engine.completeness();
-            let delta = if add {
+            if op == 2 {
+                let gain = engine.probe_gain(api);
+                let round_trip = if shadow.is_unsupported(api) {
+                    let d = shadow.add_api(api);
+                    shadow.remove_api(api);
+                    d
+                } else {
+                    0.0
+                };
+                prop_assert_eq!(
+                    gain.to_bits(), round_trip.to_bits(),
+                    "probe {}: {} vs round trip {}", nr, gain, round_trip
+                );
+                prop_assert_eq!(engine.completeness().to_bits(), before.to_bits());
+                prop_assert_eq!(
+                    engine.completeness().to_bits(),
+                    shadow.completeness().to_bits()
+                );
+                prop_assert_eq!(engine.last_flipped(), shadow.last_flipped());
+                continue;
+            }
+            let (delta, shadow_delta) = if op == 0 {
                 supported.insert(nr);
-                engine.add_api(Api::Syscall(nr))
+                (engine.add_api(api), shadow.add_api(api))
             } else {
                 supported.remove(&nr);
-                engine.remove_api(Api::Syscall(nr))
+                (engine.remove_api(api), shadow.remove_api(api))
             };
             let scratch = metrics.syscall_completeness(&supported);
+            let verb = if op == 0 { "add" } else { "remove" };
             prop_assert_eq!(
                 engine.completeness().to_bits(), scratch.to_bits(),
                 "after {} {}: engine {} vs scratch {}",
-                if add { "add" } else { "remove" }, nr,
-                engine.completeness(), scratch
+                verb, nr, engine.completeness(), scratch
             );
             prop_assert_eq!(
                 (engine.completeness() - before).to_bits(), delta.to_bits(),
                 "delta must account for the movement"
             );
+            prop_assert_eq!(
+                delta.to_bits(), shadow_delta.to_bits(),
+                "{} {} after probes: delta {} vs shadow {}",
+                verb, nr, delta, shadow_delta
+            );
+            prop_assert_eq!(engine.last_flipped(), shadow.last_flipped());
         }
     }
 

@@ -265,6 +265,64 @@ fn periodic_errno_chaos_keeps_replies_bit_identical_or_classified() {
     server.wait();
 }
 
+/// Two faults in sequence with no live connection: `accept4` reports
+/// `EMFILE`, so accepting pauses with zero connections, and the
+/// listener's re-registration then draws `epoll_ctl(ADD)` `ENOMEM`. No
+/// connection deadline is armed and the listener is not registered, so
+/// nothing could wake the reactor: it must bound its own sleep and retry
+/// the re-add. A deaf reactor leaves the next client queued in the
+/// backlog, and the probe below fails on its 2 s deadline.
+#[test]
+fn failed_listener_readd_after_accept_pause_is_retried() {
+    let _g = gate();
+    sysfault::clear();
+
+    let study = small_study();
+    // Armed before the reactor starts, so the count is exact: its first
+    // two `epoll_ctl(ADD)` calls register the listener and the doorbell,
+    // and the third is the listener's re-add after the pause.
+    sysfault::install(
+        SysFaultPlan::parse("accept4:emfile@1;epoll_ctl(ADD):enomem@3")
+            .expect("fault spec"),
+    );
+    let server =
+        Server::start(study, None, serve_opts()).expect("server start");
+    let addr = server.addr();
+    // The first connection trips the pause: the reserve fd is spent to
+    // accept it and tell it Busy.
+    let mut first = Client::connect(addr, policy(), Duration::from_secs(2))
+        .expect("first connect");
+    match first.call(&Request::Ping) {
+        Ok(Response::Err { .. }) | Err(_) => {}
+        Ok(other) => panic!("the shed connection got {other:?}"),
+    }
+    drop(first);
+    let waited = std::time::Instant::now();
+    while sysfault::ledger().len() < 2 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(5),
+            "both faults must fire: {:?}",
+            sysfault::ledger()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let ledger = sysfault::clear();
+    assert_eq!(ledger[0].site, "accept4");
+    assert_eq!(ledger[1].site, "epoll_ctl(ADD)");
+
+    let mut probe = Client::connect(addr, policy(), Duration::from_secs(2))
+        .expect("probe connect");
+    match probe.call(&Request::Ping) {
+        Ok(Response::Pong { .. }) => {}
+        other => panic!("the daemon stopped accepting: {other:?}"),
+    }
+    let stats = server.stats();
+    assert_eq!(stats.accept_pauses, 1);
+    assert!(stats.accept_resume_retries >= 1, "{stats:?}");
+    server.shutdown();
+    server.wait();
+}
+
 fn fp() -> RunFingerprint {
     RunFingerprint {
         kind: RunKind::CorruptionSweep,
