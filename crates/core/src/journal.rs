@@ -688,6 +688,30 @@ mod tests {
         ]
     }
 
+    /// Journal bytes written before the log machinery moved into
+    /// `framelog`: one record of each kind under `fp()`.
+    const GOLDEN: &[u8] = include_bytes!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/testdata/golden.apsj"
+    ));
+
+    #[test]
+    fn journal_bytes_match_the_golden_file() {
+        let path = tmp_path("golden");
+        let mut j = Journal::create(&path, &fp()).expect("create");
+        for rec in sample_records() {
+            j.append(&rec).expect("append");
+        }
+        drop(j);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
+        // And the golden file resumes back to the same records.
+        std::fs::write(&path, GOLDEN).unwrap();
+        let (j, records) = Journal::resume(&path, &fp()).expect("resume");
+        assert_eq!(records, sample_records());
+        assert_eq!(j.stats(), JournalStats { replayed: 4, appended: 0 });
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn roundtrip_create_append_resume() {
         let path = tmp_path("roundtrip");

@@ -895,6 +895,31 @@ mod tests {
         ]
     }
 
+    /// The wire frames of `sample_requests()`, back to back, as encoded
+    /// before the framing moved into `framelog`.
+    const GOLDEN: &[u8] = include_bytes!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/testdata/golden-frames.bin"
+    ));
+
+    #[test]
+    fn frame_bytes_match_the_golden_file() {
+        let wire: Vec<u8> = sample_requests()
+            .iter()
+            .flat_map(|req| encode_frame(&req.encode()))
+            .collect();
+        assert_eq!(wire, GOLDEN);
+        // And the golden frames decode back to the same requests.
+        let mut rest = GOLDEN;
+        let mut decoded = Vec::new();
+        while !rest.is_empty() {
+            let (payload, used) = decode_frame(rest).expect("whole frame");
+            decoded.push(Request::decode(payload).expect("request"));
+            rest = &rest[used..];
+        }
+        assert_eq!(decoded, sample_requests());
+    }
+
     #[test]
     fn requests_roundtrip_canonically() {
         for req in sample_requests() {

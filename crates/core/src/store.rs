@@ -677,6 +677,32 @@ mod tests {
         assert!(got.replayed);
     }
 
+    /// Store bytes written before the log machinery moved into
+    /// `framelog`: two shards under `fp()`.
+    const GOLDEN: &[u8] = include_bytes!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/testdata/golden.apsf"
+    ));
+
+    #[test]
+    fn store_bytes_match_the_golden_file() {
+        let path = tmp_path("golden");
+        let (a, b) = (sample_partial(0, 0, 3), sample_partial(1, 3, 2));
+        let mut store = FootprintStore::create(&path, &fp()).expect("create");
+        store.append_shard(&a).expect("append a");
+        store.append_shard(&b).expect("append b");
+        drop(store);
+        assert_eq!(std::fs::read(&path).unwrap(), GOLDEN);
+        // And the golden file resumes back to the same shards.
+        std::fs::write(&path, GOLDEN).unwrap();
+        let (_, partials) =
+            FootprintStore::resume(&path, &fp()).expect("resume");
+        assert_eq!(partials.len(), 2);
+        assert_replay_matches(&partials[&0], &a);
+        assert_replay_matches(&partials[&1], &b);
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn shard_roundtrip_is_bit_exact() {
         let path = tmp_path("roundtrip");
