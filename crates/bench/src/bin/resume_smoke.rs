@@ -26,6 +26,7 @@ use apistudy_analysis::AnalysisOptions;
 use apistudy_core::{
     cache::{AnalysisCache, CacheMode},
     corruption_sweep_journaled, corruption_sweep_with, DegradationPoint,
+    FRAME_HEADER, LOG_HEADER,
 };
 use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 
@@ -35,12 +36,6 @@ use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 /// cache, so the measured ratio is far higher; 3× leaves headroom for
 /// noisy CI machines without letting a broken resume path pass.
 const MIN_SPEEDUP: f64 = 3.0;
-
-/// Bytes before the first record: magic(4) + version(4) + kind(1) +
-/// fingerprint(8) + header checksum(8). Kept in sync with
-/// `core::journal`; the prepared journal is validated by actually
-/// resuming it, so drift here fails loudly.
-const JOURNAL_HEADER_LEN: usize = 25;
 
 /// Same corpus as `cache_smoke` / the `pipeline_150_packages` bench, so
 /// the recorded numbers compose with the existing baselines.
@@ -80,12 +75,12 @@ fn time_reps(reps: usize, mut f: impl FnMut()) -> u128 {
 /// journal proptests; here the cut lands exactly on a record boundary).
 fn truncate_journal(full: &Path, half: &Path, keep: usize) {
     let bytes = std::fs::read(full).expect("read full journal");
-    let mut at = JOURNAL_HEADER_LEN;
+    let mut at = LOG_HEADER;
     for _ in 0..keep {
         let len = u32::from_le_bytes(
             bytes[at..at + 4].try_into().expect("record length"),
         ) as usize;
-        at += 4 + 8 + len; // len + checksum + payload
+        at += FRAME_HEADER + len;
     }
     assert!(at < bytes.len(), "journal shorter than {keep} records");
     std::fs::write(half, &bytes[..at]).expect("write half journal");

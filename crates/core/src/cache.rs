@@ -55,7 +55,6 @@
 //! toward cold, never to wrong, and never all-or-nothing.
 
 use std::collections::{BTreeSet, HashMap};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -64,6 +63,7 @@ use apistudy_analysis::{content_hash, BinaryAnalysis, Footprint, FuncInfo};
 use apistudy_elf::BinaryClass;
 
 use crate::footprint::ApiFootprint;
+use crate::framelog::{put_count, put_string, replace_file, Cursor};
 
 /// Number of independently locked shards. A power of two so shard
 /// selection is a mask; 16 comfortably exceeds the pipeline's worker cap.
@@ -373,8 +373,9 @@ impl AnalysisCache {
     /// Writes the resident entries to disk ([`CacheMode::Disk`] only; a
     /// no-op returning `Ok(None)` otherwise), one file per shard. Each
     /// file is written to a temporary sibling, fsynced, and renamed into
-    /// place, so a crashed writer clobbers nothing — the loader either
-    /// sees the previous complete file or the new complete file. Each
+    /// place, with the directory fsynced after (`framelog::replace_file`),
+    /// so a crashed writer clobbers nothing — the loader either sees the
+    /// previous complete file or the new complete file. Each
     /// entry's payload carries a [`content_hash`] checksum so later
     /// damage is detected per entry, not per file. Returns the cache
     /// directory.
@@ -382,7 +383,6 @@ impl AnalysisCache {
         if self.mode != CacheMode::Disk {
             return Ok(None);
         }
-        std::fs::create_dir_all(&self.dir)?;
         for (si, shard) in self.shards.iter().enumerate() {
             let mut entries: Vec<(CacheKey, Arc<BinaryAnalysis>)> = {
                 let guard = shard.read().unwrap_or_else(|e| e.into_inner());
@@ -404,14 +404,7 @@ impl AnalysisCache {
                 buf.extend_from_slice(&payload);
             }
 
-            let path = self.shard_path(si);
-            let tmp = path.with_extension("tmp");
-            {
-                let mut f = std::fs::File::create(&tmp)?;
-                f.write_all(&buf)?;
-                f.sync_all()?;
-            }
-            std::fs::rename(&tmp, &path)?;
+            replace_file(&self.shard_path(si), &buf)?;
         }
         Ok(Some(self.dir.clone()))
     }
@@ -433,7 +426,7 @@ impl AnalysisCache {
 
     /// Decodes one persisted shard file, salvaging around bad entries.
     fn load_shard_file(&self, bytes: &[u8]) {
-        let mut c = Cursor { bytes, at: 0 };
+        let mut c = Cursor::new(bytes);
         let Some(magic) = c.take(4) else { return };
         if magic != MAGIC {
             return;
@@ -458,13 +451,13 @@ impl AnalysisCache {
                 // it, so the remainder of the file is still salvageable.
                 continue;
             }
-            let mut pc = Cursor { bytes: payload, at: 0 };
-            let Some(ba) = decode_analysis(&mut pc) else { continue };
+            let mut pc = Cursor::new(payload);
             // Trailing garbage inside a checksum-valid payload means the
             // entry was written wrong, not damaged — still skip only it.
-            if pc.at != payload.len() {
+            let Some(ba) = decode_analysis(&mut pc).and_then(|ba| pc.finish(ba))
+            else {
                 continue;
-            }
+            };
             let key = CacheKey { content, options };
             let mut shard = self.shards[key.shard()]
                 .write()
@@ -477,50 +470,8 @@ impl AnalysisCache {
 }
 
 // ---------------------------------------------------------------------------
-// Length-prefixed codec. Everything little-endian; strings are u32-length
-// UTF-8; collections are u32-count then elements. No serde, no unsafe.
+// Entry codec, over the shared [`crate::framelog`] primitives.
 // ---------------------------------------------------------------------------
-
-pub(crate) struct Cursor<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        self.take(1).map(|b| b[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.take(4)?);
-        Some(u32::from_le_bytes(raw))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.take(8)?);
-        Some(u64::from_le_bytes(raw))
-    }
-
-    pub(crate) fn string(&mut self) -> Option<String> {
-        let len = self.u32()? as usize;
-        let raw = self.take(len)?;
-        String::from_utf8(raw.to_vec()).ok()
-    }
-}
-
-pub(crate) fn put_string(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
 
 fn put_opt_string(buf: &mut Vec<u8>, s: &Option<String>) {
     match s {
@@ -538,10 +489,6 @@ fn get_opt_string(c: &mut Cursor<'_>) -> Option<Option<String>> {
         1 => Some(Some(c.string()?)),
         _ => None,
     }
-}
-
-pub(crate) fn put_count(buf: &mut Vec<u8>, n: usize) {
-    buf.extend_from_slice(&(n as u32).to_le_bytes());
 }
 
 fn encode_footprint(buf: &mut Vec<u8>, fp: &Footprint) {
@@ -764,10 +711,10 @@ mod tests {
     fn roundtrip_preserves_analysis_exactly() {
         let ba = sample_analysis();
         let encoded = encode_analysis(&ba);
-        let mut c = Cursor { bytes: &encoded, at: 0 };
+        let mut c = Cursor::new(&encoded);
         let decoded = decode_analysis(&mut c).expect("decodes");
-        assert_eq!(c.at, encoded.len(), "payload fully consumed");
-        assert_eq!(decoded, ba);
+        // The payload is fully consumed.
+        assert_eq!(c.finish(decoded), Some(ba));
     }
 
     #[test]
@@ -775,7 +722,7 @@ mod tests {
         let mut ba = sample_analysis();
         ba.exports.insert("evil".to_owned(), 99);
         let encoded = encode_analysis(&ba);
-        let mut c = Cursor { bytes: &encoded, at: 0 };
+        let mut c = Cursor::new(&encoded);
         assert!(decode_analysis(&mut c).is_none());
     }
 
@@ -783,7 +730,7 @@ mod tests {
     fn decode_rejects_truncation_at_every_length() {
         let encoded = encode_analysis(&sample_analysis());
         for cut in 0..encoded.len() {
-            let mut c = Cursor { bytes: &encoded[..cut], at: 0 };
+            let mut c = Cursor::new(&encoded[..cut]);
             // Either cleanly rejected, or (never) a full parse of a
             // truncated buffer.
             if let Some(_ba) = decode_analysis(&mut c) {

@@ -10,16 +10,16 @@
 //! proven bit-identical to an uninterrupted run (f64 results round-trip
 //! by bit pattern, never through text).
 //!
-//! Durability discipline:
+//! Durability discipline (the file is a [`crate::framelog`] log):
 //!
 //! - the **header** — magic, version, and the run's [`RunFingerprint`] —
-//!   is committed with a temp-file + atomic rename, so a journal either
-//!   exists with a complete, checksummed header or not at all;
-//! - **records** are appended with a length prefix and a 64-bit content
-//!   checksum, flushed and fsynced per append; a torn or truncated tail
-//!   (a crash mid-`write`) is recovered by scanning the longest valid
-//!   record prefix and discarding the rest — never a wrong record,
-//!   never an aborted resume;
+//!   is committed with a temp-file + atomic rename and a directory fsync,
+//!   so a journal either exists with a complete, checksummed header or
+//!   not at all;
+//! - each **record** is one checksummed frame, fsynced per append; a torn
+//!   or truncated tail (a crash mid-`write`) is recovered by keeping the
+//!   longest valid record prefix and discarding the rest — never a wrong
+//!   record, never an aborted resume;
 //! - the header's fingerprint binds the journal to one exact run:
 //!   corpus identity, [`AnalysisOptions`](apistudy_analysis::AnalysisOptions)
 //!   fingerprint, catalog version, and the plan being executed (fault
@@ -33,27 +33,26 @@
 //! crash-resume integration suite uses it to kill real subprocess sweeps
 //! at every interesting boundary.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use apistudy_analysis::content_hash;
 use apistudy_catalog::Catalog;
 use apistudy_corpus::SynthRepo;
 
-use crate::cache::{fold_hash, Cursor};
+use crate::cache::fold_hash;
 use crate::degradation::DegradationPoint;
+pub use crate::framelog::JournalError;
+use crate::framelog::{
+    put_frame, put_nr_list, put_u32, put_u64, Cursor, FrameLog, LogFormat,
+    Step, MAX_RECORD,
+};
 
-/// Journal file magic.
-const MAGIC: &[u8; 4] = b"APSJ";
-/// On-disk format version (bump on any layout change; old journals are
-/// then refused with a header error, never misread).
-const VERSION: u32 = 1;
-/// Sanity bound on one record's payload — far above any real record, low
-/// enough that a corrupt length prefix cannot trigger a giant allocation.
-const MAX_RECORD: usize = 1 << 24;
-/// Header layout: magic(4) version(4) kind(1) fingerprint(8) check(8).
-const HEADER_LEN: usize = 25;
+/// The journal's log format (see [`crate::framelog`]).
+static FORMAT: LogFormat = LogFormat {
+    magic: b"APSJ",
+    write_site: "journal.write",
+    fsync_site: "journal.fsync",
+};
 
 /// Which kind of run a journal belongs to. Folded into the fingerprint
 /// so a sweep journal can never resume a greedy plan or vice versa.
@@ -211,14 +210,11 @@ impl JournalRecord {
         match self {
             JournalRecord::SupportSet(numbers) => {
                 buf.push(1);
-                buf.extend_from_slice(&(numbers.len() as u32).to_le_bytes());
-                for &nr in numbers {
-                    buf.extend_from_slice(&nr.to_le_bytes());
-                }
+                put_nr_list(&mut buf, numbers);
             }
             JournalRecord::SweepPoint(p) => {
                 buf.push(2);
-                buf.extend_from_slice(&p.rate.to_bits().to_le_bytes());
+                put_u64(&mut buf, p.rate.to_bits());
                 for word in [
                     p.injected,
                     p.injected_fatal,
@@ -227,20 +223,16 @@ impl JournalRecord {
                     p.partial_packages,
                     p.quarantined_packages,
                 ] {
-                    buf.extend_from_slice(&word.to_le_bytes());
+                    put_u32(&mut buf, word);
                 }
-                buf.extend_from_slice(
-                    &(p.distinct_syscalls as u64).to_le_bytes(),
-                );
-                buf.extend_from_slice(
-                    &p.completeness_top.to_bits().to_le_bytes(),
-                );
+                put_u64(&mut buf, p.distinct_syscalls as u64);
+                put_u64(&mut buf, p.completeness_top.to_bits());
             }
             JournalRecord::GreedyPick { nr, gain_bits, after_bits } => {
                 buf.push(3);
-                buf.extend_from_slice(&nr.to_le_bytes());
-                buf.extend_from_slice(&gain_bits.to_le_bytes());
-                buf.extend_from_slice(&after_bits.to_le_bytes());
+                put_u32(&mut buf, *nr);
+                put_u64(&mut buf, *gain_bits);
+                put_u64(&mut buf, *after_bits);
             }
             JournalRecord::FleetFilter {
                 allow_hash,
@@ -252,54 +244,33 @@ impl JournalRecord {
                 linear_depth_total,
             } => {
                 buf.push(4);
-                buf.extend_from_slice(&allow_hash.to_le_bytes());
+                put_u64(&mut buf, *allow_hash);
                 for word in [*tree_len, *linear_len, *tree_max_depth] {
-                    buf.extend_from_slice(&word.to_le_bytes());
+                    put_u32(&mut buf, word);
                 }
-                buf.extend_from_slice(&tree_depth_total.to_le_bytes());
-                buf.extend_from_slice(&linear_max_depth.to_le_bytes());
-                buf.extend_from_slice(&linear_depth_total.to_le_bytes());
+                put_u64(&mut buf, *tree_depth_total);
+                put_u32(&mut buf, *linear_max_depth);
+                put_u64(&mut buf, *linear_depth_total);
             }
         }
         buf
     }
 
     fn decode(payload: &[u8]) -> Option<Self> {
-        let mut c = Cursor { bytes: payload, at: 0 };
+        let mut c = Cursor::new(payload);
         let rec = match c.u8()? {
-            1 => {
-                let count = c.u32()? as usize;
-                if count > MAX_RECORD / 4 {
-                    return None;
-                }
-                let mut numbers = Vec::with_capacity(count);
-                for _ in 0..count {
-                    numbers.push(c.u32()?);
-                }
-                JournalRecord::SupportSet(numbers)
-            }
-            2 => {
-                let rate = f64::from_bits(c.u64()?);
-                let injected = c.u32()?;
-                let injected_fatal = c.u32()?;
-                let skipped_binaries = c.u32()?;
-                let deadline_skipped = c.u32()?;
-                let partial_packages = c.u32()?;
-                let quarantined_packages = c.u32()?;
-                let distinct_syscalls = c.u64()? as usize;
-                let completeness_top = f64::from_bits(c.u64()?);
-                JournalRecord::SweepPoint(DegradationPoint {
-                    rate,
-                    injected,
-                    injected_fatal,
-                    skipped_binaries,
-                    deadline_skipped,
-                    partial_packages,
-                    quarantined_packages,
-                    distinct_syscalls,
-                    completeness_top,
-                })
-            }
+            1 => JournalRecord::SupportSet(c.nr_list(MAX_RECORD / 4)?),
+            2 => JournalRecord::SweepPoint(DegradationPoint {
+                rate: f64::from_bits(c.u64()?),
+                injected: c.u32()?,
+                injected_fatal: c.u32()?,
+                skipped_binaries: c.u32()?,
+                deadline_skipped: c.u32()?,
+                partial_packages: c.u32()?,
+                quarantined_packages: c.u32()?,
+                distinct_syscalls: c.u64()? as usize,
+                completeness_top: f64::from_bits(c.u64()?),
+            }),
             3 => JournalRecord::GreedyPick {
                 nr: c.u32()?,
                 gain_bits: c.u64()?,
@@ -317,10 +288,7 @@ impl JournalRecord {
             _ => return None,
         };
         // Trailing garbage means the record is not what was written.
-        if c.at != payload.len() {
-            return None;
-        }
-        Some(rec)
+        c.finish(rec)
     }
 }
 
@@ -335,127 +303,31 @@ pub struct JournalStats {
     pub appended: u64,
 }
 
-/// Why a journal could not be created, resumed, or trusted.
-#[derive(Debug)]
-pub enum JournalError {
-    /// Filesystem failure (create, append, fsync, truncate).
-    Io(std::io::Error),
-    /// The file is not a journal this version can read: bad magic,
-    /// unknown version, or a damaged/truncated header.
-    Header(String),
-    /// The journal belongs to a different run (corpus, options, catalog,
-    /// or plan changed). Folded fingerprints are reported for diagnosis.
-    FingerprintMismatch {
-        /// The fingerprint of the run attempting to resume.
-        expected: u64,
-        /// The fingerprint the journal header carries.
-        found: u64,
-    },
-    /// A recovered record contradicts the resuming run (wrong record
-    /// kind for the phase, a sweep point for an unexpected rate, a
-    /// replayed greedy gain that does not reproduce). Indicates a logic
-    /// or fingerprint-coverage bug; never silently ignored.
-    Diverged(String),
-    /// A previous append on this handle failed (write or fsync), so the
-    /// on-disk state past the last known-good record is unknowable —
-    /// the "fsyncgate" lesson: after a failed fsync, retrying through
-    /// the same handle can silently lose data the page cache already
-    /// dropped. The handle refuses all further appends; recovery is
-    /// reopening via resume, which truncates to the longest valid
-    /// prefix.
-    FailStop,
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
-            JournalError::Header(why) => {
-                write!(f, "not a resumable journal: {why}")
-            }
-            JournalError::FingerprintMismatch { expected, found } => write!(
-                f,
-                "journal belongs to a different run \
-                 (expected fingerprint {expected:#018x}, found {found:#018x})"
-            ),
-            JournalError::Diverged(why) => {
-                write!(f, "journal diverged from the resuming run: {why}")
-            }
-            JournalError::FailStop => write!(
-                f,
-                "journal fail-stopped after an append failure; reopen \
-                 with resume to recover the valid prefix"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for JournalError {}
-
-impl From<std::io::Error> for JournalError {
-    fn from(e: std::io::Error) -> Self {
-        JournalError::Io(e)
-    }
-}
-
 /// The write-ahead journal: a header bound to one run, then checksummed
 /// length-prefixed records appended as work units complete.
 #[derive(Debug)]
 pub struct Journal {
-    file: File,
-    path: PathBuf,
+    log: FrameLog,
     stats: JournalStats,
     /// Fail-point: abort the process after this many successful appends
     /// (from `APISTUDY_JOURNAL_CRASH_AFTER`; test harness only).
     crash_after: Option<u64>,
-    /// Set when an append fails; every later append returns
-    /// [`JournalError::FailStop`] (fsyncgate semantics).
-    poisoned: bool,
-}
-
-fn crash_after_from_env() -> Option<u64> {
-    std::env::var("APISTUDY_JOURNAL_CRASH_AFTER")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-}
-
-fn header_bytes(fp: &RunFingerprint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(fp.kind.tag());
-    buf.extend_from_slice(&fp.fold().to_le_bytes());
-    let check = content_hash(&buf);
-    buf.extend_from_slice(&check.to_le_bytes());
-    buf
 }
 
 impl Journal {
+    fn with_log(log: FrameLog, replayed: u64) -> Self {
+        let crash_after = std::env::var("APISTUDY_JOURNAL_CRASH_AFTER")
+            .ok()
+            .and_then(|v| v.trim().parse::<u64>().ok());
+        Self { log, stats: JournalStats { replayed, appended: 0 }, crash_after }
+    }
+
     /// Creates a fresh journal for the given run. The header is written
     /// to a temporary sibling, fsynced, and renamed into place, so a
     /// crash during creation leaves either a complete journal or none.
     /// An existing file at `path` is replaced.
     pub fn create(path: &Path, fp: &RunFingerprint) -> Result<Self, JournalError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&header_bytes(fp))?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self {
-            file,
-            path: path.to_owned(),
-            stats: JournalStats::default(),
-            crash_after: crash_after_from_env(),
-            poisoned: false,
-        })
+        Ok(Self::with_log(FrameLog::create(path, &FORMAT, fp)?, 0))
     }
 
     /// Opens an existing journal for resumption: verifies the header
@@ -467,26 +339,17 @@ impl Journal {
         path: &Path,
         fp: &RunFingerprint,
     ) -> Result<(Self, Vec<JournalRecord>), JournalError> {
-        let bytes = std::fs::read(path)?;
-        let (records, valid_end) = Self::recover(&bytes, fp)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        if (valid_end as u64) < bytes.len() as u64 {
-            file.set_len(valid_end as u64)?;
-            file.sync_all()?;
-        }
-        drop(file);
-        let file = OpenOptions::new().append(true).open(path)?;
-        let replayed = records.len() as u64;
-        Ok((
-            Self {
-                file,
-                path: path.to_owned(),
-                stats: JournalStats { replayed, appended: 0 },
-                crash_after: crash_after_from_env(),
-                poisoned: false,
-            },
-            records,
-        ))
+        let mut records = Vec::new();
+        let log = FrameLog::resume(path, &FORMAT, fp, |payload| {
+            match JournalRecord::decode(payload) {
+                Some(rec) => {
+                    records.push(rec);
+                    Step::Commit
+                }
+                None => Step::Stop,
+            }
+        })?;
+        Ok((Self::with_log(log, records.len() as u64), records))
     }
 
     /// Resumes when `path` holds a compatible journal, otherwise creates
@@ -505,108 +368,20 @@ impl Journal {
         }
     }
 
-    /// Scans `bytes` as a journal: header validation, then the longest
-    /// valid prefix of records. Returns the records and the byte offset
-    /// where the valid prefix ends.
-    fn recover(
-        bytes: &[u8],
-        fp: &RunFingerprint,
-    ) -> Result<(Vec<JournalRecord>, usize), JournalError> {
-        let mut c = Cursor { bytes, at: 0 };
-        let magic = c
-            .take(4)
-            .ok_or_else(|| JournalError::Header("file shorter than magic".into()))?;
-        if magic != MAGIC {
-            return Err(JournalError::Header("bad magic".into()));
-        }
-        match c.u32() {
-            Some(VERSION) => {}
-            Some(v) => {
-                return Err(JournalError::Header(format!(
-                    "unsupported version {v} (this build reads {VERSION})"
-                )))
-            }
-            None => return Err(JournalError::Header("truncated header".into())),
-        }
-        let kind_tag = c
-            .u8()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let found = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let check = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        if content_hash(&bytes[..HEADER_LEN - 8]) != check {
-            return Err(JournalError::Header("header checksum mismatch".into()));
-        }
-        if RunKind::from_tag(kind_tag).is_none() {
-            return Err(JournalError::Header(format!(
-                "unknown run kind {kind_tag}"
-            )));
-        }
-        let expected = fp.fold();
-        if found != expected {
-            return Err(JournalError::FingerprintMismatch { expected, found });
-        }
-
-        // Longest valid record prefix. Any structural violation — short
-        // read, oversized length, checksum mismatch, undecodable payload
-        // — ends the prefix *there*; everything before it is intact by
-        // checksum and kept.
-        let mut records = Vec::new();
-        let mut valid_end = c.at;
-        loop {
-            let mark = c.at;
-            let Some(len) = c.u32() else { break };
-            let len = len as usize;
-            if len > MAX_RECORD {
-                break;
-            }
-            let Some(check) = c.u64() else { break };
-            let Some(payload) = c.take(len) else { break };
-            if content_hash(payload) != check {
-                break;
-            }
-            let Some(rec) = JournalRecord::decode(payload) else { break };
-            records.push(rec);
-            valid_end = mark + 4 + 8 + len;
-        }
-        Ok((records, valid_end))
-    }
-
-    /// Appends one completed work unit: length prefix, checksum, payload,
-    /// written in a single `write_all` and fsynced before returning, so a
-    /// record either survives a crash whole or is discarded as a torn
-    /// tail on resume — never half-trusted.
+    /// Appends one completed work unit as one frame, written in a single
+    /// `write_all` and fsynced before returning, so a record either
+    /// survives a crash whole or is discarded as a torn tail on resume —
+    /// never half-trusted.
     ///
-    /// The write and fsync route through the fault-aware
-    /// [`crate::sys::file_write_all`] / [`crate::sys::file_sync_data`]
-    /// (callsites `journal.write` / `journal.fsync`). Any failure
-    /// poisons the handle: the bytes on disk past the last good record
-    /// are unknowable (a torn write, or an fsync whose dirty pages the
-    /// kernel dropped), so further appends fail stop with
-    /// [`JournalError::FailStop`] and recovery is a fresh
+    /// The write and fsync use callsites `journal.write` /
+    /// `journal.fsync`. Any failure poisons the handle: further appends
+    /// fail stop with [`JournalError::FailStop`] and recovery is a fresh
     /// [`Journal::resume`], which truncates back to the longest valid
     /// prefix.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<(), JournalError> {
-        if self.poisoned {
-            return Err(JournalError::FailStop);
-        }
-        let payload = rec.encode();
-        let mut buf = Vec::with_capacity(12 + payload.len());
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&content_hash(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
-        if let Err(e) =
-            crate::sys::file_write_all(&self.file, &buf, "journal.write")
-                .and_then(|()| {
-                    crate::sys::file_sync_data(&self.file, "journal.fsync")
-                })
-        {
-            self.poisoned = true;
-            return Err(JournalError::Io(e));
-        }
+        let mut frame = Vec::new();
+        put_frame(&mut frame, &rec.encode());
+        self.log.append(&frame)?;
         self.stats.appended += 1;
         if let Some(n) = self.crash_after {
             if self.stats.appended >= n {
@@ -627,18 +402,19 @@ impl Journal {
 
     /// Whether an append failure has fail-stopped this handle.
     pub fn poisoned(&self) -> bool {
-        self.poisoned
+        self.log.poisoned()
     }
 
     /// Where the journal lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(

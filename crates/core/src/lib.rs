@@ -30,6 +30,9 @@
 //!   contained panics, quarantined packages, injected-fault ground truth;
 //! - [`degradation`] — the corruption sweep: rerunning the pipeline at
 //!   rising injected-corruption rates and tabulating the metric fallout;
+//! - [`framelog`] — the one checksummed frame (`len | hash | payload`),
+//!   its byte codec, and the fingerprint-bound append-only log file the
+//!   journal and the store are built on;
 //! - [`journal`] — the crash-safety layer: an append-only, checksummed
 //!   write-ahead journal of completed work units, with fingerprint-bound
 //!   bit-identical resume;
@@ -63,6 +66,7 @@ pub mod diff;
 pub mod engine;
 pub mod footprint;
 pub mod footprints;
+pub mod framelog;
 pub mod journal;
 pub mod libc_restructure;
 pub mod metrics;
@@ -102,9 +106,10 @@ pub use planner::{
     greedy_suggestions, greedy_suggestions_journaled, stages,
     CompletenessCurve, Stage,
 };
+pub use framelog::{FRAME_HEADER, LOG_HEADER};
 pub use proto::{
-    encode_frame, read_frame_by, scan_frame, ErrorCode, FrameError,
-    ReadBudget, Request, Response, FRAME_HEADER, MAX_BATCH, MAX_FRAME,
+    encode_frame, read_frame_by, scan_frame, ErrorCode, FrameError, Request,
+    Response, MAX_BATCH, MAX_FRAME,
 };
 pub use seccomp_bpf::{
     depth_profile, run_filter, run_filter_traced, seccomp_filter,

@@ -1,7 +1,7 @@
 //! The query daemon's wire protocol: length-prefixed, checksummed frames.
 //!
-//! Every byte off the wire is untrusted. The framing is the write-ahead
-//! journal's, deliberately — a `u32` length prefix, a 64-bit content
+//! Every byte off the wire is untrusted. The framing is the logs' own
+//! ([`crate::framelog`]) — a `u32` length prefix, a 64-bit content
 //! checksum, then the payload — with hard limits enforced *before* any
 //! allocation: a corrupt or hostile length prefix can cost at most
 //! [`MAX_FRAME`] bytes, never a giant allocation, and a checksum mismatch
@@ -13,18 +13,15 @@
 //! canonical encoding of exactly one message (trailing bytes included).
 //! The chaos suite drives millions of fuzzed payloads through them and
 //! through a live daemon to hold that line.
-//!
-//! Reads are deadline-bound ([`read_frame`]): the caller supplies an
-//! *idle* budget (how long to wait for the first byte of the next frame)
-//! and a *request* budget (how long a started frame may take to arrive in
-//! full), so a slowloris writer dribbling one byte per second is cut off
-//! at the request deadline instead of pinning a worker forever.
 
-use std::io::{Read as _, Write as _};
+use std::io::Read as _;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use apistudy_analysis::content_hash;
+pub use crate::framelog::FRAME_HEADER;
+use crate::framelog::{
+    payload_len, put_frame, put_nr_list, put_u32, put_u64, scan, Cursor, Scan,
+};
 
 /// Hard cap on one frame's payload. Requests and replies are small
 /// (syscall-number lists and f64 bit patterns); anything larger is either
@@ -40,8 +37,6 @@ pub const MAX_PICKS: usize = 256;
 pub const MAX_BATCH: usize = 64;
 /// Hard cap on an error reply's detail string, in bytes.
 pub const MAX_ERR_MSG: usize = 200;
-/// Frame header length: length prefix (4) plus content checksum (8).
-pub const FRAME_HEADER: usize = 12;
 
 /// How a frame read ended short of a whole valid frame.
 #[derive(Debug)]
@@ -56,12 +51,10 @@ pub enum FrameError {
     /// The payload's checksum does not match its header. The stream may
     /// be corrupt or hostile; the connection must be closed.
     Checksum,
-    /// The idle budget expired while waiting for the next frame to start.
+    /// The deadline expired before the frame's first byte arrived.
     Idle,
-    /// The request budget expired mid-frame (slowloris or stall).
+    /// The deadline expired mid-frame (slowloris or stall).
     Deadline,
-    /// The server is draining; no further frames will be read.
-    Draining,
     /// Any other socket failure.
     Io(std::io::Error),
 }
@@ -77,7 +70,6 @@ impl std::fmt::Display for FrameError {
             FrameError::Checksum => write!(f, "frame checksum mismatch"),
             FrameError::Idle => write!(f, "idle deadline expired"),
             FrameError::Deadline => write!(f, "request deadline expired"),
-            FrameError::Draining => write!(f, "server draining"),
             FrameError::Io(e) => write!(f, "socket error: {e}"),
         }
     }
@@ -87,20 +79,18 @@ impl FrameError {
     /// Whether this failure lives in the **transport**, so a reconnect
     /// (with backoff) may genuinely succeed: the peer vanished
     /// (`Closed`/`Truncated`), the socket failed (`Io` — `EINTR`,
-    /// `EAGAIN`, `ECONNRESET` mid-handshake), the server said come back
-    /// later (`Draining`), or it simply never answered in budget
-    /// (`Idle`/`Deadline`). The remaining cases — `Checksum`,
-    /// `TooLarge` — mean the *content* is wrong: the same bytes will be
-    /// wrong on every retry, so retrying a malformed reply only burns
-    /// the backoff budget and masks corruption.
+    /// `EAGAIN`, `ECONNRESET` mid-handshake), or the server simply never
+    /// answered in budget (`Idle`/`Deadline`). The remaining cases —
+    /// `Checksum`, `TooLarge` — mean the *content* is wrong: the same
+    /// bytes will be wrong on every retry, so retrying a malformed reply
+    /// only burns the backoff budget and masks corruption.
     pub fn is_transport(&self) -> bool {
         match self {
             FrameError::Closed
             | FrameError::Truncated
             | FrameError::Io(_)
             | FrameError::Idle
-            | FrameError::Deadline
-            | FrameError::Draining => true,
+            | FrameError::Deadline => true,
             FrameError::Checksum | FrameError::TooLarge(_) => false,
         }
     }
@@ -241,75 +231,6 @@ pub enum Request {
     ),
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_nr_list(buf: &mut Vec<u8>, nrs: &[u32]) {
-    put_u32(buf, nrs.len() as u32);
-    for &nr in nrs {
-        put_u32(buf, nr);
-    }
-}
-
-/// Byte cursor over an untrusted payload. Every read is bounds-checked;
-/// exhaustion is `None`, never a panic.
-struct Take<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Take<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes, at: 0 }
-    }
-
-    fn bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        self.bytes(1).map(|b| b[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        let mut raw = [0u8; 4];
-        raw.copy_from_slice(self.bytes(4)?);
-        Some(u32::from_le_bytes(raw))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(self.bytes(8)?);
-        Some(u64::from_le_bytes(raw))
-    }
-
-    fn nr_list(&mut self, cap: usize) -> Option<Vec<u32>> {
-        let count = self.u32()? as usize;
-        if count > cap {
-            return None;
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u32()?);
-        }
-        Some(out)
-    }
-
-    /// The payload must be fully consumed: trailing bytes mean the frame
-    /// is not what the peer framed, so the message is rejected whole.
-    fn finish<T>(self, value: T) -> Option<T> {
-        (self.at == self.bytes.len()).then_some(value)
-    }
-}
-
 impl Request {
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
@@ -373,7 +294,7 @@ impl Request {
     /// Decodes exactly one request from the cursor's current position
     /// (sub-requests are self-delimiting). `allow_batch` is false inside
     /// a batch: nesting depth is exactly one.
-    fn decode_inner(c: &mut Take<'_>, allow_batch: bool) -> Option<Self> {
+    fn decode_inner(c: &mut Cursor<'_>, allow_batch: bool) -> Option<Self> {
         Some(match c.u8()? {
             1 => Request::Ping,
             2 => Request::Importance { nr: c.u32()? },
@@ -410,7 +331,7 @@ impl Request {
     /// is the canonical encoding of exactly one request, with every list
     /// under its hard cap.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        let mut c = Take::new(payload);
+        let mut c = Cursor::new(payload);
         let req = Request::decode_inner(&mut c, true)?;
         c.finish(req)
     }
@@ -550,7 +471,7 @@ impl Response {
     /// Decodes exactly one reply from the cursor's current position.
     /// `allow_batch` is false inside a batch (nesting depth one, mirroring
     /// the request side).
-    fn decode_inner(c: &mut Take<'_>, allow_batch: bool) -> Option<Self> {
+    fn decode_inner(c: &mut Cursor<'_>, allow_batch: bool) -> Option<Self> {
         Some(match c.u8()? {
             1 => Response::Pong {
                 fingerprint: c.u64()?,
@@ -588,7 +509,7 @@ impl Response {
                 if len > MAX_ERR_MSG {
                     return None;
                 }
-                let raw = c.bytes(len)?;
+                let raw = c.take(len)?;
                 let msg = std::str::from_utf8(raw).ok()?.to_owned();
                 Response::Err { code, msg }
             }
@@ -614,7 +535,7 @@ impl Response {
     /// corrupt or impostor server): `None` unless `payload` is the
     /// canonical encoding of exactly one reply.
     pub fn decode(payload: &[u8]) -> Option<Self> {
-        let mut c = Take::new(payload);
+        let mut c = Cursor::new(payload);
         let resp = Response::decode_inner(&mut c, true)?;
         c.finish(resp)
     }
@@ -628,27 +549,19 @@ impl Response {
 /// Frames one payload for the wire: length prefix, checksum, bytes.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&content_hash(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    put_frame(&mut out, payload);
     out
 }
 
 /// Parses a complete in-memory frame: `Some((payload, bytes_consumed))`
 /// when `bytes` starts with one whole valid frame. Used by tests and the
-/// fuzz harness; the socket path is [`read_frame`].
+/// fuzz harness; the socket paths are [`scan_frame`] and
+/// [`read_frame_by`].
 pub fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
-    let mut c = Take::new(bytes);
-    let len = c.u32()? as usize;
-    if len > MAX_FRAME {
-        return None;
+    match scan(bytes, MAX_FRAME) {
+        Scan::Whole(total) => Some((&bytes[FRAME_HEADER..total], total)),
+        _ => None,
     }
-    let check = c.u64()?;
-    let payload = c.bytes(len)?;
-    if content_hash(payload) != check {
-        return None;
-    }
-    Some((payload, FRAME_HEADER + len))
 }
 
 /// Incremental frame scan over a reactor's accumulation buffer.
@@ -662,88 +575,47 @@ pub fn decode_frame(bytes: &[u8]) -> Option<(&[u8], usize)> {
 /// the body is complete. Unlike [`decode_frame`] this never waits for
 /// bytes that the header already proves will be rejected.
 pub fn scan_frame(buf: &[u8]) -> Result<Option<usize>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
+    match scan(buf, MAX_FRAME) {
+        Scan::Partial => Ok(None),
+        Scan::Whole(total) => Ok(Some(total)),
+        Scan::TooLarge(len) => Err(FrameError::TooLarge(len)),
+        Scan::Checksum => Err(FrameError::Checksum),
     }
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&buf[..4]);
-    let len = u32::from_le_bytes(raw) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    let total = FRAME_HEADER + len;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&buf[4..12]);
-    let check = u64::from_le_bytes(raw);
-    if content_hash(&buf[FRAME_HEADER..total]) != check {
-        return Err(FrameError::Checksum);
-    }
-    Ok(Some(total))
 }
 
-/// Read budgets for [`read_frame`].
-#[derive(Debug, Clone, Copy)]
-pub struct ReadBudget {
-    /// How long to wait for the first byte of the next frame.
-    pub idle: Duration,
-    /// How long a started frame may take to arrive in full (the
-    /// slowloris bound).
-    pub request: Duration,
-}
-
-/// The granularity at which blocked reads re-check deadlines and the
-/// drain flag. Coarse enough to stay cheap, fine enough that drain and
-/// deadline enforcement feel immediate.
-const POLL: Duration = Duration::from_millis(100);
-
-/// Reads exactly `buf.len()` bytes with deadline polling. `deadline` is
-/// absolute once armed; `arm` is called on the first byte (the idle →
-/// request budget transition). `stop` aborts between bytes at a frame
-/// boundary only.
-fn read_exact_deadline(
+/// Reads exactly `buf.len()` bytes by the absolute `deadline`. `fresh`
+/// marks a read that starts at a frame boundary, where running out of
+/// time or peer is `Idle` / `Closed` rather than `Deadline` /
+/// `Truncated` until the first byte lands.
+fn read_exact_by(
     stream: &TcpStream,
     buf: &mut [u8],
-    deadline: &mut Instant,
-    mut on_first_byte: Option<&mut dyn FnMut(&mut Instant)>,
-    stop: &dyn Fn() -> bool,
-    at_boundary: bool,
+    deadline: Instant,
+    fresh: bool,
 ) -> Result<(), FrameError> {
     let mut filled = 0usize;
     while filled < buf.len() {
+        let at_boundary = fresh && filled == 0;
         let now = Instant::now();
-        if now >= *deadline {
-            return Err(if at_boundary && filled == 0 {
+        if now >= deadline {
+            return Err(if at_boundary {
                 FrameError::Idle
             } else {
                 FrameError::Deadline
             });
         }
-        if at_boundary && filled == 0 && stop() {
-            return Err(FrameError::Draining);
-        }
-        let wait = (*deadline - now).min(POLL);
         stream
-            .set_read_timeout(Some(wait.max(Duration::from_millis(1))))
+            .set_read_timeout(Some((deadline - now).max(Duration::from_millis(1))))
             .map_err(FrameError::Io)?;
         match (&*stream).read(&mut buf[filled..]) {
             Ok(0) => {
-                return Err(if at_boundary && filled == 0 {
+                return Err(if at_boundary {
                     FrameError::Closed
                 } else {
                     FrameError::Truncated
                 });
             }
-            Ok(n) => {
-                if filled == 0 {
-                    if let Some(arm) = on_first_byte.take() {
-                        arm(deadline);
-                    }
-                }
-                filled += n;
-            }
+            Ok(n) => filled += n,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -757,84 +629,28 @@ fn read_exact_deadline(
     Ok(())
 }
 
-/// Validates a just-read header and reads the payload it announces under
-/// the (already armed) deadline.
-fn finish_frame(
-    stream: &TcpStream,
-    header: &[u8; FRAME_HEADER],
-    deadline: &mut Instant,
-    stop: &dyn Fn() -> bool,
-) -> Result<Vec<u8>, FrameError> {
-    let mut raw = [0u8; 4];
-    raw.copy_from_slice(&header[..4]);
-    let len = u32::from_le_bytes(raw) as usize;
-    if len > MAX_FRAME {
-        return Err(FrameError::TooLarge(len));
-    }
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&header[4..12]);
-    let check = u64::from_le_bytes(raw);
-    let mut payload = vec![0u8; len];
-    read_exact_deadline(stream, &mut payload, deadline, None, stop, false)?;
-    if content_hash(&payload) != check {
-        return Err(FrameError::Checksum);
-    }
-    Ok(payload)
-}
-
-/// Reads one whole frame from the socket under the given budgets,
-/// returning its validated payload. `stop` (the server's drain flag) is
-/// honored only between frames — an in-flight frame is always finished or
-/// failed, never half-read and abandoned.
-pub fn read_frame(
-    stream: &TcpStream,
-    budget: ReadBudget,
-    stop: &dyn Fn() -> bool,
-) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER];
-    // Idle budget until the first byte lands, then the request budget
-    // governs the rest of the frame.
-    let mut deadline = Instant::now() + budget.idle;
-    let mut arm = |d: &mut Instant| *d = Instant::now() + budget.request;
-    read_exact_deadline(
-        stream,
-        &mut header,
-        &mut deadline,
-        Some(&mut arm),
-        stop,
-        true,
-    )?;
-    finish_frame(stream, &header, &mut deadline, stop)
-}
-
-/// Reads one whole frame under a single **absolute** deadline. Unlike
-/// [`read_frame`]'s idle → request budget hand-off, nothing re-arms when
-/// the first byte lands: the whole frame must arrive by `deadline_at`.
-/// This is the client's per-request budget — a server that accepts the
-/// request but stalls mid-reply is cut at exactly one deadline, not a
-/// stack of idle and request budgets.
+/// Reads one whole frame from a blocking socket under a single
+/// **absolute** deadline and returns its validated payload. Nothing
+/// re-arms when the first byte lands: the whole frame must arrive by
+/// `deadline_at`. This is the client's per-request budget — a server
+/// that accepts the request but stalls mid-reply is cut at exactly one
+/// deadline.
 pub fn read_frame_by(
     stream: &TcpStream,
     deadline_at: Instant,
-    stop: &dyn Fn() -> bool,
 ) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; FRAME_HEADER];
-    let mut deadline = deadline_at;
-    read_exact_deadline(stream, &mut header, &mut deadline, None, stop, true)?;
-    finish_frame(stream, &header, &mut deadline, stop)
-}
-
-/// Writes one frame under a write deadline. A peer that stops draining
-/// its receive buffer (backpressure) fails the write at the deadline
-/// instead of pinning the worker.
-pub fn write_frame(
-    stream: &TcpStream,
-    payload: &[u8],
-    timeout: Duration,
-) -> std::io::Result<()> {
-    stream.set_write_timeout(Some(timeout.max(Duration::from_millis(1))))?;
-    (&*stream).write_all(&encode_frame(payload))?;
-    (&*stream).flush()
+    let mut frame = vec![0u8; FRAME_HEADER];
+    read_exact_by(stream, &mut frame, deadline_at, true)?;
+    // The header alone refuses an over-cap length; otherwise read the
+    // payload it announces and check the whole frame.
+    if scan_frame(&frame)?.is_none() {
+        let len = payload_len(&frame).unwrap_or(0);
+        frame.resize(FRAME_HEADER + len, 0);
+        read_exact_by(stream, &mut frame[FRAME_HEADER..], deadline_at, false)?;
+        scan_frame(&frame)?;
+    }
+    frame.drain(..FRAME_HEADER);
+    Ok(frame)
 }
 
 #[cfg(test)]

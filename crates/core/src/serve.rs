@@ -1934,7 +1934,7 @@ impl Client {
     }
 
     fn recv_by(&self, deadline_at: Instant) -> Result<Response, ClientError> {
-        let payload = read_frame_by(&self.stream, deadline_at, &|| false)
+        let payload = read_frame_by(&self.stream, deadline_at)
             .map_err(ClientError::Frame)?;
         Response::decode(&payload).ok_or(ClientError::Protocol)
     }
@@ -2041,7 +2041,6 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{read_frame, write_frame, ReadBudget};
     use apistudy_corpus::Scale;
     use std::io::Read as _;
 
@@ -2435,15 +2434,12 @@ mod tests {
         ));
         // Intact frame, garbage payload: classified reply, connection
         // survives.
-        write_frame(&c.stream, &[0xFFu8, 1, 2, 3], Duration::from_secs(2))
+        (&c.stream)
+            .write_all(&encode_frame(&[0xFFu8, 1, 2, 3]))
             .expect("write");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("reply");
         assert!(matches!(
@@ -2468,13 +2464,9 @@ mod tests {
         let last = frame.len() - 1;
         frame[last] ^= 0xFF;
         (&c.stream).write_all(&frame).expect("send");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("reply");
         assert!(matches!(
@@ -2488,13 +2480,9 @@ mod tests {
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         frame.extend_from_slice(&0u64.to_le_bytes());
         (&c.stream).write_all(&frame).expect("send");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("reply");
         assert!(matches!(
@@ -2517,13 +2505,9 @@ mod tests {
         let frame = encode_frame(&Request::Ping.encode());
         // Dribble one byte, then stall past the request deadline.
         (&c.stream).write_all(&frame[..1]).expect("first byte");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &c.stream,
-            ReadBudget {
-                idle: Duration::from_secs(5),
-                request: Duration::from_secs(5),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(5),
         )
         .expect("deadline reply");
         assert!(matches!(
@@ -2559,13 +2543,9 @@ mod tests {
             Duration::from_secs(2),
         )
         .expect("tcp connect");
-        let payload = read_frame(
+        let payload = read_frame_by(
             &second.stream,
-            ReadBudget {
-                idle: Duration::from_secs(2),
-                request: Duration::from_secs(2),
-            },
-            &|| false,
+            Instant::now() + Duration::from_secs(2),
         )
         .expect("busy reply");
         assert!(matches!(

@@ -8,11 +8,10 @@
 //! bits, every `ApiSet` as interner ids over a fingerprint-pinned
 //! universe).
 //!
-//! The framing is the write-ahead journal's, deliberately: a
-//! temp+rename-committed checksummed header binding the file to one
-//! [`RunFingerprint`], then length-prefixed records each carrying a
-//! 64-bit content checksum, with torn tails recovered by truncating back
-//! to the longest valid prefix. No serde. The store has its own magic
+//! The file is a [`crate::framelog`] log, like the write-ahead journal:
+//! a checksummed header binding the file to one [`RunFingerprint`], then
+//! checksummed frames, with torn tails recovered by truncating back to
+//! the longest valid prefix. No serde. The store has its own magic
 //! (`APSF`) and record schema:
 //!
 //! - **Package** records carry one package's full study output;
@@ -28,30 +27,28 @@
 //! never-cache-errors policy.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use apistudy_analysis::content_hash;
 use apistudy_catalog::{ApiInterner, ApiSet};
 use apistudy_corpus::{Interpreter, MixCensus};
 use apistudy_elf::BinaryClass;
 
-use crate::cache::{put_count, put_string, Cursor};
 use crate::diagnostics::RunDiagnostics;
 use crate::footprint::ApiFootprint;
-use crate::journal::{JournalError, RunFingerprint, RunKind};
+use crate::framelog::{
+    put_count, put_frame, put_nr_list, put_string, put_u32, put_u64, Cursor,
+    FrameLog, LogFormat, Step, MAX_RECORD,
+};
+use crate::journal::{JournalError, RunFingerprint};
 use crate::pipeline::PackageRecord;
 use crate::stream::{PackageAttribution, ShardPartial};
 
-/// Store file magic (distinct from the journal's `APSJ`).
-const MAGIC: &[u8; 4] = b"APSF";
-/// On-disk format version (bump on any layout change).
-const VERSION: u32 = 1;
-/// Sanity bound on one record's payload.
-const MAX_RECORD: usize = 1 << 24;
-/// Header layout: magic(4) version(4) kind(1) fingerprint(8) check(8).
-const HEADER_LEN: usize = 25;
+/// The store's log format (magic distinct from the journal's `APSJ`).
+static FORMAT: LogFormat = LogFormat {
+    magic: b"APSF",
+    write_site: "store.write",
+    fsync_site: "store.fsync",
+};
 
 /// Fixed encoding order for the census's ELF classes.
 const ELF_CLASSES: [BinaryClass; 4] = [
@@ -88,32 +85,7 @@ pub struct StoreStats {
 /// failure modes (I/O, bad header, fingerprint mismatch) are identical.
 #[derive(Debug)]
 pub struct FootprintStore {
-    file: File,
-    path: PathBuf,
-    /// Set when an append fails; every later append returns
-    /// [`JournalError::FailStop`] — after a failed write or fsync the
-    /// on-disk tail is unknowable, so the handle fail-stops and
-    /// recovery is reopening via [`FootprintStore::resume`].
-    poisoned: bool,
-}
-
-fn header_bytes(fp: &RunFingerprint) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(fp.kind.tag());
-    buf.extend_from_slice(&fp.fold().to_le_bytes());
-    let check = content_hash(&buf);
-    buf.extend_from_slice(&check.to_le_bytes());
-    buf
-}
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+    log: FrameLog,
 }
 
 /// Encodes an [`ApiSet`] as its ascending interner ids. The header
@@ -131,40 +103,10 @@ fn put_api_set(buf: &mut Vec<u8>, set: &ApiSet) {
 fn get_api_set(c: &mut Cursor<'_>) -> Option<ApiSet> {
     let interner = ApiInterner::global();
     let universe = interner.universe() as u32;
-    let count = c.u32()? as usize;
-    if count > MAX_RECORD / 4 {
-        return None;
-    }
-    let mut set = ApiSet::new();
-    let mut prev: Option<u32> = None;
-    for _ in 0..count {
-        let id = c.u32()?;
-        if id >= universe || prev.is_some_and(|p| id <= p) {
-            return None;
-        }
-        prev = Some(id);
-        set.insert(interner.resolve(id));
-    }
-    Some(set)
-}
-
-fn put_nr_list(buf: &mut Vec<u8>, nrs: &[u32]) {
-    put_count(buf, nrs.len());
-    for &nr in nrs {
-        put_u32(buf, nr);
-    }
-}
-
-fn get_nr_list(c: &mut Cursor<'_>) -> Option<Vec<u32>> {
-    let count = c.u32()? as usize;
-    if count > MAX_RECORD / 4 {
-        return None;
-    }
-    let mut nrs = Vec::with_capacity(count);
-    for _ in 0..count {
-        nrs.push(c.u32()?);
-    }
-    Some(nrs)
+    let ids = c.nr_list(MAX_RECORD / 4)?;
+    let canonical = ids.windows(2).all(|w| w[0] < w[1])
+        && ids.last().is_none_or(|&id| id < universe);
+    canonical.then(|| ids.iter().map(|&id| interner.resolve(id)).collect())
 }
 
 fn put_string_list(buf: &mut Vec<u8>, strings: &[String]) {
@@ -251,7 +193,7 @@ fn decode_package(
     let mut libs = Vec::with_capacity(lib_count);
     for _ in 0..lib_count {
         let soname = c.string()?;
-        let nrs = get_nr_list(c)?;
+        let nrs = c.nr_list(MAX_RECORD / 4)?;
         libs.push((soname, nrs));
     }
     let exec_count = c.u32()? as usize;
@@ -260,7 +202,7 @@ fn decode_package(
     }
     let mut execs = Vec::with_capacity(exec_count);
     for _ in 0..exec_count {
-        execs.push(get_nr_list(c)?);
+        execs.push(c.nr_list(MAX_RECORD / 4)?);
     }
     Some((
         index,
@@ -343,13 +285,6 @@ fn decode_marker(c: &mut Cursor<'_>) -> Option<Marker> {
     })
 }
 
-/// Frames one payload: length prefix, checksum, bytes.
-fn frame(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&content_hash(payload).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
 impl FootprintStore {
     /// Creates a fresh store bound to `fp`, replacing any existing file
     /// at `path`. Header commit is temp-file + fsync + atomic rename.
@@ -357,155 +292,54 @@ impl FootprintStore {
         path: &Path,
         fp: &RunFingerprint,
     ) -> Result<Self, JournalError> {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let tmp = path.with_extension("tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&header_bytes(fp))?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self { file, path: path.to_owned(), poisoned: false })
+        Ok(Self { log: FrameLog::create(path, &FORMAT, fp)? })
     }
 
     /// Opens an existing store for resumption: verifies the header
     /// against `fp`, recovers every complete shard, truncates any torn
     /// or marker-less tail, and returns the recovered partials keyed by
     /// shard index.
+    ///
+    /// Package records stay pending until a marker commits them: the
+    /// marker must follow exactly the pending records, contiguously from
+    /// its start index, or the valid prefix ends before them.
     pub fn resume(
         path: &Path,
         fp: &RunFingerprint,
     ) -> Result<(Self, HashMap<usize, ShardPartial>), JournalError> {
-        let bytes = std::fs::read(path)?;
-        let (partials, valid_end) = Self::recover(&bytes, fp)?;
-        let file = OpenOptions::new().write(true).open(path)?;
-        if (valid_end as u64) < bytes.len() as u64 {
-            file.set_len(valid_end as u64)?;
-            file.sync_all()?;
-        }
-        drop(file);
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok((Self { file, path: path.to_owned(), poisoned: false }, partials))
-    }
-
-    /// Resumes when `path` holds a compatible store, otherwise creates a
-    /// fresh one. Header and fingerprint errors still surface: silently
-    /// overwriting a store that belongs to a different run would destroy
-    /// resumable work.
-    pub fn resume_or_create(
-        path: &Path,
-        fp: &RunFingerprint,
-    ) -> Result<(Self, HashMap<usize, ShardPartial>), JournalError> {
-        if path.exists() {
-            Self::resume(path, fp)
-        } else {
-            Ok((Self::create(path, fp)?, HashMap::new()))
-        }
-    }
-
-    /// Scans `bytes` as a store: header validation, then the longest
-    /// prefix of *complete shards*. Package records pending without a
-    /// committing marker — a crash mid-shard — are excluded from the
-    /// valid prefix and truncated by resume.
-    fn recover(
-        bytes: &[u8],
-        fp: &RunFingerprint,
-    ) -> Result<(HashMap<usize, ShardPartial>, usize), JournalError> {
-        let mut c = Cursor { bytes, at: 0 };
-        let magic = c.take(4).ok_or_else(|| {
-            JournalError::Header("file shorter than magic".into())
-        })?;
-        if magic != MAGIC {
-            return Err(JournalError::Header("bad magic".into()));
-        }
-        match c.u32() {
-            Some(VERSION) => {}
-            Some(v) => {
-                return Err(JournalError::Header(format!(
-                    "unsupported version {v} (this build reads {VERSION})"
-                )))
-            }
-            None => {
-                return Err(JournalError::Header("truncated header".into()))
-            }
-        }
-        let kind_tag = c
-            .u8()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let found = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        let check = c
-            .u64()
-            .ok_or_else(|| JournalError::Header("truncated header".into()))?;
-        if content_hash(&bytes[..HEADER_LEN - 8]) != check {
-            return Err(JournalError::Header("header checksum mismatch".into()));
-        }
-        if RunKind::from_tag(kind_tag).is_none() {
-            return Err(JournalError::Header(format!(
-                "unknown run kind {kind_tag}"
-            )));
-        }
-        let expected = fp.fold();
-        if found != expected {
-            return Err(JournalError::FingerprintMismatch { expected, found });
-        }
-
         let mut partials = HashMap::new();
         let mut pending: Vec<(usize, PackageRecord, PackageAttribution)> =
             Vec::new();
-        // Advances only past committed shards: a marker-less run of
-        // package records never extends the valid prefix.
-        let mut valid_end = c.at;
-        while let Some(len) = c.u32() {
-            let len = len as usize;
-            if len > MAX_RECORD {
-                break;
-            }
-            let Some(check) = c.u64() else { break };
-            let Some(payload) = c.take(len) else { break };
-            if content_hash(payload) != check {
-                break;
-            }
-            let mut pc = Cursor { bytes: payload, at: 0 };
-            match pc.u8() {
-                Some(1) => {
-                    let Some(entry) = decode_package(&mut pc) else { break };
-                    if pc.at != payload.len() {
-                        break;
+        let log = FrameLog::resume(path, &FORMAT, fp, |payload| {
+            let mut c = Cursor::new(payload);
+            match c.u8() {
+                Some(1) => match decode_package(&mut c).and_then(|e| c.finish(e)) {
+                    Some(entry) => {
+                        pending.push(entry);
+                        Step::Pending
                     }
-                    pending.push(entry);
-                }
+                    None => Step::Stop,
+                },
                 Some(2) => {
-                    let Some(marker) = decode_marker(&mut pc) else { break };
-                    if pc.at != payload.len() {
-                        break;
-                    }
-                    // The marker must commit exactly the pending records,
-                    // contiguously from its start index; anything else is
-                    // structural corruption and ends the prefix here.
+                    let Some(marker) =
+                        decode_marker(&mut c).and_then(|m| c.finish(m))
+                    else {
+                        return Step::Stop;
+                    };
                     let contiguous = pending.len() == marker.len
                         && pending
                             .iter()
                             .enumerate()
                             .all(|(i, (idx, _, _))| *idx == marker.start + i);
                     if !contiguous {
-                        break;
+                        return Step::Stop;
                     }
-                    let mut records = Vec::with_capacity(marker.len);
-                    let mut attributions = Vec::with_capacity(marker.len);
-                    let mut unresolved_sites = 0u64;
-                    for (_, rec, attr) in pending.drain(..) {
-                        unresolved_sites +=
-                            u64::from(rec.unresolved_syscall_sites);
-                        records.push(rec);
-                        attributions.push(attr);
-                    }
+                    let (records, attributions): (Vec<_>, Vec<_>) =
+                        pending.drain(..).map(|(_, rec, attr)| (rec, attr)).unzip();
+                    let unresolved_sites = records
+                        .iter()
+                        .map(|r| u64::from(r.unresolved_syscall_sites))
+                        .sum();
                     partials.insert(
                         marker.shard,
                         ShardPartial {
@@ -525,26 +359,39 @@ impl FootprintStore {
                             replayed: true,
                         },
                     );
-                    valid_end = c.at;
+                    Step::Commit
                 }
-                _ => break,
+                _ => Step::Stop,
             }
+        })?;
+        Ok((Self { log }, partials))
+    }
+
+    /// Resumes when `path` holds a compatible store, otherwise creates a
+    /// fresh one. Header and fingerprint errors still surface: silently
+    /// overwriting a store that belongs to a different run would destroy
+    /// resumable work.
+    pub fn resume_or_create(
+        path: &Path,
+        fp: &RunFingerprint,
+    ) -> Result<(Self, HashMap<usize, ShardPartial>), JournalError> {
+        if path.exists() {
+            Self::resume(path, fp)
+        } else {
+            Ok((Self::create(path, fp)?, HashMap::new()))
         }
-        Ok((partials, valid_end))
     }
 
     /// Appends one completed clean shard: every package record plus the
     /// committing marker, framed individually but written in a single
-    /// `write_all` and fsynced. A crash mid-append tears the tail; resume
-    /// discards any package records not followed by their marker, so the
-    /// store never resurrects half a shard.
+    /// `write_all` and fsynced (callsites `store.write` / `store.fsync`).
+    /// A crash mid-append tears the tail; resume discards any package
+    /// records not followed by their marker, so the store never
+    /// resurrects half a shard. A failed append fail-stops the handle.
     pub fn append_shard(
         &mut self,
         partial: &ShardPartial,
     ) -> Result<(), JournalError> {
-        if self.poisoned {
-            return Err(JournalError::FailStop);
-        }
         debug_assert!(
             partial.diagnostics.is_clean(),
             "only clean shards are persisted"
@@ -560,31 +407,22 @@ impl FootprintStore {
         {
             payload.clear();
             encode_package(&mut payload, partial.start + i, rec, attr);
-            frame(&mut out, &payload);
+            put_frame(&mut out, &payload);
         }
         payload.clear();
         encode_marker(&mut payload, partial);
-        frame(&mut out, &payload);
-        if let Err(e) =
-            crate::sys::file_write_all(&self.file, &out, "store.write")
-                .and_then(|()| {
-                    crate::sys::file_sync_data(&self.file, "store.fsync")
-                })
-        {
-            self.poisoned = true;
-            return Err(JournalError::Io(e));
-        }
-        Ok(())
+        put_frame(&mut out, &payload);
+        self.log.append(&out)
     }
 
     /// Whether an append failure has fail-stopped this handle.
     pub fn poisoned(&self) -> bool {
-        self.poisoned
+        self.log.poisoned()
     }
 
     /// Where the store lives.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 }
 
@@ -592,6 +430,7 @@ impl FootprintStore {
 mod tests {
     use super::*;
     use crate::journal::RunKind;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
@@ -749,6 +588,63 @@ mod tests {
             FootprintStore::resume(&path, &fp()).expect("resume again");
         assert_eq!(partials.len(), 2);
         assert_replay_matches(&partials[&1], &b);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Cut and bit-flip the store at every byte offset: header damage is
+    /// refused, and otherwise exactly the shards whose marker ends before
+    /// the damage are recovered, with the file truncated back to the last
+    /// of them.
+    #[test]
+    fn damage_at_every_offset_recovers_exactly_the_committed_shards() {
+        use crate::framelog::{FRAME_HEADER, LOG_HEADER};
+
+        let path = tmp_path("damage");
+        let shards =
+            [sample_partial(0, 0, 2), sample_partial(1, 2, 1), sample_partial(2, 3, 2)];
+        let mut store = FootprintStore::create(&path, &fp()).expect("create");
+        for shard in &shards {
+            store.append_shard(shard).expect("append");
+        }
+        drop(store);
+        let full = std::fs::read(&path).unwrap();
+        // Where each shard's marker ends: its package frames plus one.
+        let mut ends = Vec::new();
+        let mut at = LOG_HEADER;
+        for shard in &shards {
+            for _ in 0..=shard.records.len() {
+                let len = u32::from_le_bytes(full[at..at + 4].try_into().unwrap());
+                at += FRAME_HEADER + len as usize;
+            }
+            ends.push(at);
+        }
+        assert_eq!(at, full.len(), "frame walk must cover the file");
+
+        let check = |bytes: &[u8], damage: usize, what: &str| {
+            std::fs::write(&path, bytes).unwrap();
+            match FootprintStore::resume(&path, &fp()) {
+                Err(JournalError::Header(_)) if damage < LOG_HEADER => {}
+                Ok((_, partials)) if damage >= LOG_HEADER => {
+                    let kept = ends.iter().filter(|&&e| e <= damage).count();
+                    assert_eq!(partials.len(), kept, "{what} at {damage}");
+                    for shard in &shards[..kept] {
+                        assert_replay_matches(&partials[&shard.shard], shard);
+                    }
+                    let valid_end = if kept == 0 { LOG_HEADER } else { ends[kept - 1] };
+                    let len = std::fs::metadata(&path).unwrap().len() as usize;
+                    assert_eq!(len, valid_end, "{what} at {damage}: truncation");
+                }
+                other => panic!("{what} at {damage}: {:?}", other.map(|r| r.1.len())),
+            }
+        };
+        for t in 0..full.len() {
+            check(&full[..t], t, "cut");
+        }
+        for i in 0..full.len() {
+            let mut bytes = full.clone();
+            bytes[i] ^= 1 << (i % 8);
+            check(&bytes, i, "flip");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -1324,7 +1324,9 @@ proptest! {
         words in proptest::collection::vec(any::<u64>(), 4..48),
         fp_seed in any::<u64>(),
     ) {
-        use apistudy::core::{Journal, RunFingerprint, RunKind};
+        use apistudy::core::{
+            Journal, RunFingerprint, RunKind, FRAME_HEADER, LOG_HEADER,
+        };
 
         let records = journal_records_from_words(&words);
         prop_assert!(!records.is_empty());
@@ -1345,13 +1347,16 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("damaged.journal");
 
-        // Write the pristine journal and learn the layout: the header
-        // length (an empty journal is exactly one header) and where each
-        // record starts.
+        // Write the pristine journal and learn where each record starts
+        // (an empty journal is exactly one header).
         let empty = dir.join("empty.journal");
         let _ = std::fs::remove_file(&empty);
         drop(Journal::create(&empty, &fp).unwrap());
-        let header_len = std::fs::metadata(&empty).unwrap().len() as usize;
+        let header_len = LOG_HEADER;
+        prop_assert_eq!(
+            std::fs::metadata(&empty).unwrap().len() as usize,
+            header_len
+        );
 
         let _ = std::fs::remove_file(&path);
         let mut journal = Journal::create(&path, &fp).unwrap();
@@ -1365,7 +1370,7 @@ proptest! {
         for _ in &records {
             starts.push(at);
             let len = u32::from_le_bytes(full[at..at + 4].try_into().unwrap());
-            at += 4 + 8 + len as usize; // len + checksum + payload
+            at += FRAME_HEADER + len as usize;
         }
         prop_assert_eq!(at, full.len(), "record walk must cover the file");
 
@@ -1385,7 +1390,7 @@ proptest! {
                             let len = u32::from_le_bytes(
                                 full[**s..**s + 4].try_into().unwrap(),
                             );
-                            **s + 4 + 8 + len as usize <= t
+                            **s + FRAME_HEADER + len as usize <= t
                         })
                         .count();
                     prop_assert_eq!(

@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use apistudy::catalog::Api;
-use apistudy::core::proto::encode_frame;
+use apistudy::core::proto::{encode_frame, read_frame_by};
 use apistudy::core::{
     greedy_suggestions, Client, ErrorCode, Request, Response, RetryPolicy,
     Study,
@@ -271,13 +271,9 @@ fn chaos_waves_never_panic_and_answers_stay_bit_identical() {
     let mut s = raw_conn(daemon.addr);
     s.write_all(&frame[..1]).expect("first byte");
     let started = Instant::now();
-    let reply = apistudy::core::proto::read_frame(
+    let reply = read_frame_by(
         &s,
-        apistudy::core::ReadBudget {
-            idle: Duration::from_secs(15),
-            request: Duration::from_secs(15),
-        },
-        &|| false,
+        Instant::now() + Duration::from_secs(15),
     )
     .expect("the daemon must reply before the harness deadline");
     assert!(
@@ -318,13 +314,9 @@ fn chaos_waves_never_panic_and_answers_stay_bit_identical() {
     huge.extend_from_slice(&u32::MAX.to_le_bytes());
     huge.extend_from_slice(&0u64.to_le_bytes());
     s.write_all(&huge).expect("oversize header");
-    let reply = apistudy::core::proto::read_frame(
+    let reply = read_frame_by(
         &s,
-        apistudy::core::ReadBudget {
-            idle: Duration::from_secs(10),
-            request: Duration::from_secs(10),
-        },
-        &|| false,
+        Instant::now() + Duration::from_secs(10),
     )
     .expect("oversize frames get a reply, not a hang");
     assert!(matches!(
@@ -541,6 +533,32 @@ fn reload_under_mixed_pipelined_and_single_frame_load_stays_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Wall-time budget for one errno-chaos seed; a passing seed takes about
+/// a quarter of it.
+const CHAOS_SEED_BUDGET: Duration = Duration::from_secs(60);
+
+/// Fails the test once a chaos seed has overrun [`CHAOS_SEED_BUDGET`]:
+/// kills the daemon and reports where the seed stood and what the daemon
+/// said, so a deaf daemon fails in about a minute instead of hanging.
+fn enforce_budget(
+    daemon: &mut Daemon,
+    until: Instant,
+    seed: u64,
+    at: &str,
+    (clean, classified): (u32, u32),
+) {
+    if Instant::now() < until {
+        return;
+    }
+    daemon.child.kill().ok();
+    let _ = daemon.child.wait();
+    panic!(
+        "seed {seed:#x}: over the {CHAOS_SEED_BUDGET:?} wall budget at {at} \
+         ({clean} clean, {classified} classified); daemon stderr:\n{}",
+        daemon.stderr_so_far()
+    );
+}
+
 /// Errno chaos through the real binary: the daemon runs with the
 /// syscall-fault shim armed (`--sys-faults "*:auto@every7"`, three
 /// seeds), injecting a site-plausible errno — `EINTR`, `EAGAIN`, short
@@ -566,9 +584,10 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
         .collect();
 
     for seed in [0xC4A0u64, 0xC4A1, 0xC4A2] {
+        let until = Instant::now() + CHAOS_SEED_BUDGET;
         let dir = scratch(&format!("errno-{seed:x}"));
         let spec = format!("*:auto@every7;seed={seed}");
-        let daemon = Daemon::start(
+        let mut daemon = Daemon::start(
             &dir,
             "errno",
             &[],
@@ -584,6 +603,8 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
         let mut clean = 0u32;
         let mut classified = 0u32;
         for round in 0..30u32 {
+            let at = format!("round {round}");
+            enforce_budget(&mut daemon, until, seed, &at, (clean, classified));
             // Fresh connections each round keep the accept path (and
             // its EMFILE pause/resume machinery) in the blast radius.
             let Ok(mut c) = Client::connect(
@@ -623,7 +644,9 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
         // fault and come back classified (`busy`) — retry on a fresh
         // connection until a Pong lands.
         let mut alive = false;
-        for _ in 0..10 {
+        for probe in 0..10 {
+            let at = format!("liveness probe {probe}");
+            enforce_budget(&mut daemon, until, seed, &at, (clean, classified));
             let mut c = daemon.client();
             match c.call(&Request::Ping) {
                 Ok(Response::Pong { fingerprint, .. }) => {
@@ -643,7 +666,9 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
         // injected fault and come back classified. Bye means this call
         // won the drain; Draining means an earlier attempt already did.
         let mut acked = false;
-        for _ in 0..10 {
+        for probe in 0..10 {
+            let at = format!("shutdown probe {probe}");
+            enforce_budget(&mut daemon, until, seed, &at, (clean, classified));
             let Ok(mut c) = Client::connect(
                 daemon.addr,
                 policy,
@@ -661,7 +686,6 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
             }
         }
         assert!(acked, "seed {seed:#x}: shutdown never acknowledged");
-        let mut daemon = daemon;
         let deadline = Instant::now() + Duration::from_secs(20);
         loop {
             match daemon.child.try_wait().expect("try_wait") {
