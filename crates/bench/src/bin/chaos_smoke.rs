@@ -57,11 +57,13 @@ fn serve_plan(kind: SysFaultKind, seed: u64) -> SysFaultPlan {
         SysFaultKind::Enomem => plan
             .every("epoll_ctl(ADD)", kind, 4)
             .every("epoll_ctl(MOD)", kind, 7),
-        // Storage-only kinds get the full-chaos treatment instead:
+        // Storage-only kinds, and `ENFILE` (only the spare descriptor's
+        // `open` can draw it), get the full-chaos treatment instead:
         // plausibility keeps them off sites that cannot produce them.
-        SysFaultKind::Enospc | SysFaultKind::Eio | SysFaultKind::Auto => {
-            plan.every("*", SysFaultKind::Auto, 7)
-        }
+        SysFaultKind::Enospc
+        | SysFaultKind::Eio
+        | SysFaultKind::Enfile
+        | SysFaultKind::Auto => plan.every("*", SysFaultKind::Auto, 7),
     }
 }
 

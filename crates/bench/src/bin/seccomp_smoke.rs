@@ -3,15 +3,17 @@
 //! **Gate 1 — equivalence & depth** (150-package reference corpus):
 //! synthesizes every package's filter in both layouts and requires
 //!
-//! - tree and linear verdicts bit-identical to the reference allow-set
-//!   for **every** syscall number in `0..=4096` (the fleet verifier),
+//! - tree and linear verdicts equal to the reference allow-set for all
+//!   2^32 syscall numbers (the fleet's boundary-point proof) and killing
+//!   every i386 number, with depths exhaustive over `0..=4096`,
 //! - every tree's executed depth within `2·⌈log₂ ranges⌉ + 8`,
 //! - the widest (most fragmented) footprint's tree at least
 //!   [`MIN_DEPTH_RATIO`]× shallower than its linear chain.
 //!
 //! **Gate 2 — batch scale & crash resume** (`--packages N`, default
 //! 3000): a full batch synthesis must finish inside
-//! [`MAX_BATCH_SECS`]; then the gate re-execs itself as a child whose
+//! [`MAX_BATCH_SECS_3000`] at up to 3000 packages, or [`MAX_BATCH_SECS`]
+//! above that; then the gate re-execs itself as a child whose
 //! journaled run is killed mid-batch by `APISTUDY_JOURNAL_CRASH_AFTER`
 //! (a `std::process::abort` after half the appends), resumes the torn
 //! journal in-process, and requires the resumed report **bit-identical**
@@ -39,9 +41,14 @@ use apistudy_corpus::Scale;
 /// only trips when the tree degenerates.
 const MIN_DEPTH_RATIO: f64 = 4.0;
 
-/// Wall-clock budget for the batch synthesis itself (pipeline
-/// measurement excluded): thousands of filters, each probed 4097 times
-/// in two layouts and bit-verified, parallelized over the worker pool.
+/// Wall-clock budget for a batch synthesis of up to 3000 packages
+/// (pipeline measurement excluded): about 3× the 0.88 s measured at
+/// 3000 packages on a 2-vCPU Xeon VM.
+const MAX_BATCH_SECS_3000: f64 = 3.0;
+
+/// Wall-clock budget for a larger batch: tens of thousands of filters,
+/// each probed 4097 times in two layouts and proven, parallelized over
+/// the worker pool.
 const MAX_BATCH_SECS: f64 = 120.0;
 
 fn reference_study() -> Study {
@@ -113,7 +120,7 @@ fn run_child(journal: &Path, packages: usize) -> ! {
 fn equivalence_gate() -> (u32, u32, f64) {
     let study = reference_study();
     let report = synthesize_fleet(study.data(), FleetOptions::default())
-        .expect("reference fleet synthesis (includes 0..=4096 bit-verify)");
+        .expect("reference fleet synthesis (includes the 2^32 proof)");
     assert!(report.verified);
     for u in &report.unique {
         let bound = if u.ranges <= 1 {
@@ -137,9 +144,9 @@ fn equivalence_gate() -> (u32, u32, f64) {
     let ratio =
         f64::from(widest.linear_max_depth) / f64::from(widest.tree_max_depth);
     println!(
-        "equivalence: {} packages, {} unique filters bit-verified for \
-         every nr 0..=4096; widest footprint ({} ranges) tree depth {} \
-         vs linear {} ({ratio:.1}x)",
+        "equivalence: {} packages, {} unique filters proven for all 2^32 \
+         numbers; widest footprint ({} ranges) tree depth {} vs linear {} \
+         ({ratio:.1}x)",
         report.packages,
         report.unique.len(),
         widest.ranges,
@@ -239,12 +246,18 @@ fn main() {
     let control = synthesize_fleet(study.data(), FleetOptions::default())
         .expect("batch fleet synthesis");
     let elapsed = started.elapsed();
-    let throughput = f64::from(control.packages) / elapsed.as_secs_f64();
+    let packages_per_s = f64::from(control.packages) / elapsed.as_secs_f64();
+    let unique_per_s = control.unique.len() as f64 / elapsed.as_secs_f64();
+    let budget = if packages <= 3000 {
+        MAX_BATCH_SECS_3000
+    } else {
+        MAX_BATCH_SECS
+    };
     println!(
         "batch: {} packages -> {} unique filters ({:.1}x dedup) \
-         synthesized + bit-verified in {:.2}s ({throughput:.0} filters/s), \
-         {} tree insns deduped + {} prefix-shareable, attack surface \
-         -{:.1}%",
+         synthesized + verified in {:.2}s ({packages_per_s:.0} packages/s, \
+         {unique_per_s:.0} unique filters/s), {} tree insns deduped + {} \
+         prefix-shareable, attack surface -{:.1}%",
         control.packages,
         control.unique.len(),
         control.dedup_ratio(),
@@ -254,8 +267,8 @@ fn main() {
         100.0 * control.weighted_attack_surface_reduction(),
     );
     assert!(
-        elapsed.as_secs_f64() <= MAX_BATCH_SECS,
-        "batch took {:.1}s, budget {MAX_BATCH_SECS}s",
+        elapsed.as_secs_f64() <= budget,
+        "batch took {:.1}s, budget {budget}s",
         elapsed.as_secs_f64()
     );
 
@@ -271,7 +284,8 @@ fn main() {
             ("seccomp_batch_packages", u128::from(control.packages)),
             ("seccomp_batch_unique", control.unique.len() as u128),
             ("seccomp_batch_synth_ms", elapsed.as_millis()),
-            ("seccomp_batch_filters_per_s", throughput as u128),
+            ("seccomp_batch_packages_per_s", packages_per_s as u128),
+            ("seccomp_batch_unique_per_s", unique_per_s as u128),
             (
                 "seccomp_dedup_ratio_x100",
                 (control.dedup_ratio() * 100.0) as u128,
@@ -294,8 +308,9 @@ fn main() {
     }
 
     println!(
-        "PASS: tree == linear == reference for all nr 0..=4096; depth \
-         ratio >= {MIN_DEPTH_RATIO}; {packages}-package batch under \
-         {MAX_BATCH_SECS}s; crash resume bit-identical"
+        "PASS: tree == linear == reference for all 2^32 numbers; depth \
+         exhaustive over 0..=4096; depth ratio >= {MIN_DEPTH_RATIO}; \
+         {packages}-package batch under {budget}s; crash resume \
+         bit-identical"
     );
 }

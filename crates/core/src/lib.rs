@@ -113,8 +113,8 @@ pub use proto::{
 };
 pub use seccomp_bpf::{
     depth_profile, run_filter, run_filter_traced, seccomp_filter,
-    BpfProgram, DepthProfile, FilterTooLarge, SeccompData, SeccompError,
-    BPF_MAXINSNS,
+    verify_allow_set, BpfProgram, DepthProfile, FilterTooLarge,
+    InvalidProgram, SeccompData, SeccompError, BPF_MAXINSNS,
 };
 pub use seccomp_fleet::{
     allow_set_hash, fleet_table, synthesize_fleet,

@@ -7,6 +7,13 @@
 //! format `seccomp(2)` loads) from a footprint, and ships a small BPF
 //! interpreter so filters are *executable and testable* in-process.
 //!
+//! The interpreter validates a program once (`validate`: known opcodes,
+//! `nr`/`arch` loads, forward in-bounds jumps, a final `ret`, at most
+//! [`BPF_MAXINSNS`] instructions) and then runs it in a loop with no
+//! per-step guards. [`verify_allow_set`] uses the same core to prove a
+//! program equal to its allow-set over all 2^32 syscall numbers by
+//! evaluating only the boundary points of its comparisons.
+//!
 //! Two code generators share the range coalescer:
 //!
 //! - [`BpfProgram::try_allow_tree`] — the production layout: a **balanced
@@ -48,9 +55,9 @@ pub const RET_ALLOW: u32 = 0x7FFF_0000;
 pub const RET_KILL: u32 = 0x0000_0000;
 /// The kernel's hard cap on a classic-BPF program's instruction count
 /// (`BPF_MAXINSNS` in `linux/bpf_common.h`). Both code generators enforce
-/// it as a classified error, and the interpreter's step guard matches it:
-/// classic BPF has no backward jumps, so no conforming program can
-/// execute more instructions than it contains.
+/// it as a classified error, and so does `validate`: classic BPF has no
+/// backward jumps, so no valid program can execute more instructions
+/// than it contains.
 pub const BPF_MAXINSNS: usize = 4096;
 
 /// Offset of `seccomp_data.nr`.
@@ -366,62 +373,227 @@ pub struct SeccompData {
     pub arch: u32,
 }
 
+/// Why a program fails `validate`. Each case is a program the kernel
+/// verifier would refuse, or one outside the subset the interpreter and
+/// the boundary proof model: no ALU, no `jset`, loads of `nr` and `arch`
+/// only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InvalidProgram {
+    /// Empty, or longer than [`BPF_MAXINSNS`].
+    Length {
+        /// The program's instruction count.
+        len: usize,
+    },
+    /// An opcode outside `ld [k]`, `ja`, `jeq`/`jgt`/`jge #k` and
+    /// `ret #k` (ALU operations, `jset`, indirect loads, ...).
+    Opcode {
+        /// Index of the instruction.
+        pc: usize,
+        /// Its opcode.
+        code: u16,
+    },
+    /// A load of a `seccomp_data` field other than `nr` or `arch`.
+    LoadOffset {
+        /// Index of the instruction.
+        pc: usize,
+        /// The offset it loads.
+        offset: u32,
+    },
+    /// A jump whose target lies past the last instruction.
+    JumpOutOfBounds {
+        /// Index of the jump.
+        pc: usize,
+    },
+    /// The last instruction is not a `ret`, so a path falls off the end.
+    NoFinalRet,
+}
+
+impl std::fmt::Display for InvalidProgram {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            InvalidProgram::Length { len } => write!(
+                f,
+                "program has {len} instructions; classic BPF needs 1 to \
+                 {BPF_MAXINSNS}"
+            ),
+            InvalidProgram::Opcode { pc, code } => {
+                write!(f, "instruction {pc}: opcode {code:#x} is not allowed")
+            }
+            InvalidProgram::LoadOffset { pc, offset } => write!(
+                f,
+                "instruction {pc}: load of offset {offset} (only nr and arch \
+                 are allowed)"
+            ),
+            InvalidProgram::JumpOutOfBounds { pc } => {
+                write!(f, "instruction {pc}: jump past the end of the program")
+            }
+            InvalidProgram::NoFinalRet => {
+                write!(f, "the last instruction is not a ret")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvalidProgram {}
+
+/// A program that passed `validate`. Every path through it ends in a
+/// `ret` after at most `len` ≤ [`BPF_MAXINSNS`] steps: jumps only go
+/// forward and stay in bounds, and the last instruction returns. That is
+/// what lets [`Validated::run`] drop every per-step guard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Validated<'p> {
+    insns: &'p [BpfInsn],
+}
+
+/// Checks a program once, so that every later run is guard-free: known
+/// opcodes only, loads only of `nr` or `arch`, every jump forward and in
+/// bounds, a final `ret`, and length within [`BPF_MAXINSNS`].
+pub(crate) fn validate(
+    program: &BpfProgram,
+) -> Result<Validated<'_>, InvalidProgram> {
+    let insns = program.insns.as_slice();
+    let len = insns.len();
+    if len == 0 || len > BPF_MAXINSNS {
+        return Err(InvalidProgram::Length { len });
+    }
+    // Offsets are unsigned, so every jump is forward; it must also land
+    // on an instruction.
+    let lands = |pc: usize, off: usize| pc + 1 + off < len;
+    for (pc, insn) in insns.iter().enumerate() {
+        let in_bounds = match insn.code {
+            LD_W_ABS => {
+                if insn.k != OFF_NR && insn.k != OFF_ARCH {
+                    return Err(InvalidProgram::LoadOffset {
+                        pc,
+                        offset: insn.k,
+                    });
+                }
+                true
+            }
+            JMP_JA => lands(pc, insn.k as usize),
+            JMP_JEQ_K | JMP_JGE_K | JMP_JGT_K => {
+                lands(pc, usize::from(insn.jt.max(insn.jf)))
+            }
+            RET_K => true,
+            code => return Err(InvalidProgram::Opcode { pc, code }),
+        };
+        if !in_bounds {
+            return Err(InvalidProgram::JumpOutOfBounds { pc });
+        }
+    }
+    if insns[len - 1].code != RET_K {
+        return Err(InvalidProgram::NoFinalRet);
+    }
+    Ok(Validated { insns })
+}
+
+/// A wrong architecture the boundary proof probes: `AUDIT_ARCH_I386`,
+/// whose syscall numbers mean different calls than x86-64's.
+const AUDIT_ARCH_I386: u32 = 0x4000_0003;
+
+impl Validated<'_> {
+    /// Evaluates the program over one syscall event: the return value
+    /// and the number of executed instructions (the *eval depth*).
+    #[inline]
+    pub(crate) fn run(self, data: SeccompData) -> (u32, u32) {
+        let insns = self.insns;
+        let mut acc: u32 = 0;
+        let mut pc = 0usize;
+        let mut steps = 0u32;
+        loop {
+            let insn = insns[pc];
+            steps += 1;
+            pc += 1;
+            let taken = match insn.code {
+                LD_W_ABS => {
+                    acc = if insn.k == OFF_NR { data.nr } else { data.arch };
+                    continue;
+                }
+                JMP_JA => {
+                    pc += insn.k as usize;
+                    continue;
+                }
+                JMP_JEQ_K => acc == insn.k,
+                JMP_JGE_K => acc >= insn.k,
+                JMP_JGT_K => acc > insn.k,
+                // `ret`: validation admits no other opcode.
+                _ => return (insn.k, steps),
+            };
+            pc += usize::from(if taken { insn.jt } else { insn.jf });
+        }
+    }
+
+    /// Runs the program once for every `nr` in `0..=max_nr` (matching
+    /// architecture) and returns the depth profile of those runs.
+    pub(crate) fn profile(self, max_nr: u32) -> DepthProfile {
+        let mut max = 0u32;
+        let mut total = 0u64;
+        for nr in 0..=max_nr {
+            let (_, steps) =
+                self.run(SeccompData { nr, arch: AUDIT_ARCH_X86_64 });
+            max = max.max(steps);
+            total += u64::from(steps);
+        }
+        DepthProfile { max, total, evals: max_nr + 1 }
+    }
+
+    /// The boundary proof behind [`verify_allow_set`]. The error is the
+    /// first event whose verdict is wrong: x86-64 disagreements come
+    /// first, then a wrong-architecture number that is not killed.
+    pub(crate) fn verify_allow_set(
+        self,
+        numbers: &[u32],
+    ) -> Result<(), SeccompData> {
+        let mut points = vec![0];
+        // Constants come from the emitted instructions, not from the
+        // builder, so the proof does not share the generator's view.
+        for insn in self.insns {
+            if matches!(insn.code, JMP_JEQ_K | JMP_JGE_K | JMP_JGT_K) {
+                points.extend(
+                    [Some(insn.k), insn.k.checked_add(1)].into_iter().flatten(),
+                );
+            }
+        }
+        for (lo, hi) in coalesce(numbers) {
+            points.extend([Some(lo), hi.checked_add(1)].into_iter().flatten());
+        }
+        points.sort_unstable();
+        points.dedup();
+        for &nr in &points {
+            let data = SeccompData { nr, arch: AUDIT_ARCH_X86_64 };
+            let (ret, _) = self.run(data);
+            if (ret == RET_ALLOW) != numbers.binary_search(&nr).is_ok() {
+                return Err(data);
+            }
+        }
+        for &nr in &points {
+            let data = SeccompData { nr, arch: AUDIT_ARCH_I386 };
+            if self.run(data).0 != RET_KILL {
+                return Err(data);
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Executes a classic-BPF seccomp filter over one syscall event.
 ///
 /// Returns the filter's return value (`RET_ALLOW` / `RET_KILL`), or `None`
-/// when the program is malformed (falls off the end, bad offset — which
-/// the kernel verifier would reject).
+/// when the program fails validation ([`InvalidProgram`]): the whole
+/// program is checked on every call, not just the executed path.
 pub fn run_filter(program: &BpfProgram, data: SeccompData) -> Option<u32> {
     run_filter_traced(program, data).map(|(verdict, _)| verdict)
 }
 
 /// [`run_filter`], also counting executed instructions — the *eval depth*
-/// the fleet report and the O(log n) CI gate measure. The step guard is
-/// [`BPF_MAXINSNS`]: classic BPF has no backward jumps, so a conforming
-/// program can never execute more instructions than the kernel allows it
-/// to contain.
+/// the fleet report and the O(log n) CI gate measure. Validation bounds
+/// it: classic BPF has no backward jumps, so a valid program can never
+/// execute more instructions than the kernel allows it to contain.
 pub fn run_filter_traced(
     program: &BpfProgram,
     data: SeccompData,
 ) -> Option<(u32, u32)> {
-    let mut acc: u32 = 0;
-    let mut pc = 0usize;
-    let mut steps = 0u32;
-    while pc < program.insns.len() {
-        steps += 1;
-        if steps as usize > BPF_MAXINSNS {
-            return None; // Classic BPF cannot loop, but guard anyway.
-        }
-        let insn = program.insns[pc];
-        match insn.code {
-            LD_W_ABS => {
-                acc = match insn.k {
-                    OFF_NR => data.nr,
-                    OFF_ARCH => data.arch,
-                    _ => return None,
-                };
-                pc += 1;
-            }
-            JMP_JA => {
-                pc += 1 + insn.k as usize;
-            }
-            JMP_JEQ_K => {
-                let taken = acc == insn.k;
-                pc += 1 + usize::from(if taken { insn.jt } else { insn.jf });
-            }
-            JMP_JGE_K => {
-                let taken = acc >= insn.k;
-                pc += 1 + usize::from(if taken { insn.jt } else { insn.jf });
-            }
-            JMP_JGT_K => {
-                let taken = acc > insn.k;
-                pc += 1 + usize::from(if taken { insn.jt } else { insn.jf });
-            }
-            RET_K => return Some((insn.k, steps)),
-            _ => return None,
-        }
-    }
-    None
+    validate(program).ok().map(|v| v.run(data))
 }
 
 /// Executed-instruction statistics for one filter, probed over every
@@ -447,20 +619,37 @@ impl DepthProfile {
 }
 
 /// Probes a filter's eval depth for every `nr` in `0..=max_nr`. Returns
-/// `None` if any evaluation is malformed (which the generators never
+/// `None` if the program fails validation (which the generators never
 /// produce).
 pub fn depth_profile(program: &BpfProgram, max_nr: u32) -> Option<DepthProfile> {
-    let mut max = 0u32;
-    let mut total = 0u64;
-    for nr in 0..=max_nr {
-        let (_, steps) = run_filter_traced(
-            program,
-            SeccompData { nr, arch: AUDIT_ARCH_X86_64 },
-        )?;
-        max = max.max(steps);
-        total += u64::from(steps);
-    }
-    Some(DepthProfile { max, total, evals: max_nr + 1 })
+    validate(program).ok().map(|v| v.profile(max_nr))
+}
+
+/// Proves that `program` allows exactly the sorted, deduplicated
+/// `numbers` for **every** 32-bit syscall number, and kills every number
+/// of a wrong architecture.
+///
+/// A valid program compares `nr` only with `jeq`/`jgt`/`jge` against
+/// constants, so its verdict can change only at a constant K (`jeq`,
+/// `jge`) or at K+1 (`jeq`, `jgt`); the reference allow-set changes only
+/// at a coalesced range's `lo` and `hi+1`. The check evaluates `0` and
+/// those points: together they start every interval on which both sides
+/// are constant, so agreement on them is agreement on all 2^32 numbers.
+/// The same points are then run under `AUDIT_ARCH_I386` and must all
+/// return `RET_KILL`, which by the same argument kills every i386
+/// number.
+///
+/// Returns the lowest disagreeing number; an x86-64 disagreement is
+/// reported before a wrong-arch one. A program that fails validation
+/// disagrees everywhere and reports 0.
+pub fn verify_allow_set(
+    program: &BpfProgram,
+    numbers: &[u32],
+) -> Result<(), u32> {
+    validate(program)
+        .map_err(|_| 0u32)?
+        .verify_allow_set(numbers)
+        .map_err(|data| data.nr)
 }
 
 /// The allow-list cannot be laid out as a legal classic-BPF program.
@@ -695,6 +884,93 @@ mod tests {
                 assert!(steps >= 1 && steps as usize <= p.len());
             }
         }
+    }
+
+    /// A well-formed tree, hand-built in the generator's own shape: a
+    /// `jge 0x4000_0000` pivot over the leaf for 10..=20 and a stray leaf
+    /// that allows the x32-flagged number `0x4000_0002`.
+    fn tree_with_x32_leak() -> BpfProgram {
+        let i = BpfInsn::new;
+        BpfProgram {
+            insns: vec![
+                i(LD_W_ABS, 0, 0, OFF_ARCH),
+                i(JMP_JEQ_K, 1, 0, AUDIT_ARCH_X86_64),
+                i(RET_K, 0, 0, RET_KILL),
+                i(LD_W_ABS, 0, 0, OFF_NR),
+                i(JMP_JGE_K, 4, 0, 0x4000_0000),
+                i(JMP_JGE_K, 0, 2, 10),
+                i(JMP_JGT_K, 1, 0, 20),
+                i(RET_K, 0, 0, RET_ALLOW),
+                i(RET_K, 0, 0, RET_KILL),
+                i(JMP_JEQ_K, 0, 1, 0x4000_0002),
+                i(RET_K, 0, 0, RET_ALLOW),
+                i(RET_K, 0, 0, RET_KILL),
+            ],
+        }
+    }
+
+    #[test]
+    fn boundary_proof_finds_an_allowed_number_past_the_probe_range() {
+        let p = tree_with_x32_leak();
+        let reference: Vec<u32> = (10..=20).collect();
+        // Exact on the whole old probe range...
+        for nr in 0..=4096 {
+            assert_eq!(allowed(&p, nr), (10..=20).contains(&nr), "nr {nr}");
+        }
+        // ...but the proof covers all 2^32 numbers and names the leak.
+        assert_eq!(verify_allow_set(&p, &reference), Err(0x4000_0002));
+        let generated = BpfProgram::allow_tree(&reference);
+        assert_eq!(verify_allow_set(&generated, &reference), Ok(()));
+    }
+
+    #[test]
+    fn boundary_proof_probes_the_reference_ranges() {
+        // The program allows 10..=25 where the reference allows 10..=20:
+        // the first disagreement is 21, the reference range's `hi + 1`.
+        let wide: Vec<u32> = (10..=25).collect();
+        let narrow: Vec<u32> = (10..=20).collect();
+        for p in both(&wide) {
+            assert_eq!(verify_allow_set(&p, &narrow), Err(21));
+        }
+        // A program with no `nr` constants at all still meets the
+        // reference's own range ends.
+        for p in both(&[]) {
+            assert_eq!(verify_allow_set(&p, &[5]), Err(5));
+        }
+        // A program that does not validate disagrees everywhere.
+        let empty = BpfProgram { insns: vec![] };
+        assert_eq!(verify_allow_set(&empty, &[]), Err(0));
+    }
+
+    #[test]
+    fn boundary_proof_needs_the_wrong_arch_probe_to_kill() {
+        // Dropping the arch pin leaves every x86-64 verdict right, so only
+        // the wrong-arch probe can tell.
+        let mut p = BpfProgram::allow_tree(&[3, 7]);
+        p.insns[1] = BpfInsn::new(JMP_JA, 0, 0, 1);
+        assert_eq!(verify_allow_set(&p, &[3, 7]), Err(3));
+    }
+
+    #[test]
+    fn boundary_proof_kills_the_wrong_arch_at_every_point() {
+        // Exact on x86-64, but `nr == 59` is allowed before the arch pin,
+        // so i386 59 gets through while i386 3 is killed. One wrong-arch
+        // probe at the first allowed number would pass this program.
+        let i = BpfInsn::new;
+        let mut insns = vec![
+            i(LD_W_ABS, 0, 0, OFF_NR),
+            i(JMP_JEQ_K, 0, 1, 59),
+            i(RET_K, 0, 0, RET_ALLOW),
+        ];
+        insns.extend(BpfProgram::allow_tree(&[3, 59]).insns);
+        let p = BpfProgram { insns };
+        for nr in [0, 3, 58, 59, 60, u32::MAX] {
+            assert_eq!(allowed(&p, nr), nr == 3 || nr == 59, "nr {nr}");
+        }
+        let i386 = |nr| SeccompData { nr, arch: AUDIT_ARCH_I386 };
+        assert_eq!(run_filter(&p, i386(3)), Some(RET_KILL));
+        assert_eq!(run_filter(&p, i386(59)), Some(RET_ALLOW));
+        assert_eq!(verify_allow_set(&p, &[3, 59]), Err(59));
     }
 
     #[test]

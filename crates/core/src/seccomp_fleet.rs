@@ -17,17 +17,20 @@
 //!   measured: the instructions a prefix-sharing filter bank would store
 //!   once instead of per filter (every program shares at least the
 //!   4-instruction arch prologue).
-//! - **Eval-depth accounting** — each unique filter is probed through
-//!   the in-crate interpreter for every syscall number in
-//!   `0..=probe_max_nr`, for both the production tree layout and the
-//!   legacy linear chain, giving exact max/avg executed-instruction
-//!   depths (and, with [`FleetOptions::verify`], bit-verified
-//!   equivalence against the reference allow-set).
+//! - **Eval-depth accounting** — each unique filter is validated once
+//!   and run through the in-crate interpreter for every syscall number
+//!   in `0..=probe_max_nr`, for both the production tree layout and the
+//!   legacy linear chain, giving the exact max/avg depth profile. With
+//!   [`FleetOptions::verify`], a boundary-point proof
+//!   ([`verify_allow_set`]) then checks the verdicts against the
+//!   reference allow-set over all 2^32 numbers.
 //! - **Crash-safe resume** — the expensive measurements are journaled
 //!   per unique allow-set ([`JournalRecord::FleetFilter`]); a resumed
 //!   run replays them (cross-checked against the rebuilt programs) and
 //!   recomputes only what is missing, bit-identical to an uninterrupted
 //!   run.
+//!
+//! [`verify_allow_set`]: crate::seccomp_bpf::verify_allow_set
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -43,8 +46,8 @@ use crate::journal::{
 };
 use crate::pipeline::{par_map_indexed, StudyData};
 use crate::seccomp_bpf::{
-    coalesce, depth_profile, run_filter, BpfProgram, FilterTooLarge,
-    SeccompData, AUDIT_ARCH_X86_64, RET_ALLOW,
+    coalesce, validate, BpfProgram, DepthProfile, FilterTooLarge,
+    InvalidProgram, Validated,
 };
 
 /// Knobs of a fleet synthesis run. Folded into the journal fingerprint:
@@ -52,12 +55,15 @@ use crate::seccomp_bpf::{
 /// silently mixed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetOptions {
-    /// Highest syscall number every filter is probed (and verified)
-    /// against: depth profiles and equivalence checks cover every `nr`
-    /// in `0..=probe_max_nr`.
+    /// Highest syscall number every filter's depth is probed at: the
+    /// depth profiles are exhaustive over `0..=probe_max_nr`.
     pub probe_max_nr: u32,
-    /// Interpreter-verify that tree and linear layouts agree with the
-    /// reference allow-set at every probed number.
+    /// Prove that the tree and linear layouts allow exactly the reference
+    /// allow-set over all 2^32 syscall numbers and kill every i386
+    /// number, by the boundary-point proof ([`verify_allow_set`]).
+    /// Replayed sets get the proof too.
+    ///
+    /// [`verify_allow_set`]: crate::seccomp_bpf::verify_allow_set
     pub verify: bool,
 }
 
@@ -142,8 +148,8 @@ pub struct FleetReport {
     pub catalog_syscalls: u32,
     /// The probe ceiling the depth profiles used.
     pub probe_max_nr: u32,
-    /// Whether tree/linear/reference equivalence was interpreter-checked
-    /// for every fresh unique set.
+    /// Whether tree/linear/reference equivalence was checked for every
+    /// unique set ([`FleetOptions::verify`]).
     pub verified: bool,
     /// Journal replay/append accounting, when journaled.
     pub journal: Option<JournalStats>,
@@ -240,13 +246,24 @@ pub enum FleetError {
         /// The classified layout failure.
         err: FilterTooLarge,
     },
-    /// Tree, linear, and reference allow-set disagreed at a probed
-    /// number — a code-generator bug, surfaced rather than shipped.
+    /// A layout disagreed with its reference allow-set at a boundary
+    /// number, or did not kill a wrong-architecture number — a
+    /// code-generator bug, surfaced rather than shipped.
     Verification {
         /// The allow-set's content hash.
         allow_hash: u64,
-        /// The syscall number where the layouts disagreed.
+        /// The syscall number with the wrong verdict.
         nr: u32,
+        /// The audit architecture it was evaluated under.
+        arch: u32,
+    },
+    /// A generated program failed interpreter validation — a
+    /// code-generator bug, surfaced rather than shipped.
+    Malformed {
+        /// The allow-set's content hash.
+        allow_hash: u64,
+        /// What validation refused.
+        err: InvalidProgram,
     },
     /// A synthesis work item panicked deterministically.
     Synthesis(String),
@@ -259,11 +276,14 @@ impl std::fmt::Display for FleetError {
             FleetError::Filter { package, err } => {
                 write!(f, "package {package}: {err}")
             }
-            FleetError::Verification { allow_hash, nr } => write!(
+            FleetError::Verification { allow_hash, nr, arch } => write!(
                 f,
                 "filter {allow_hash:#018x} disagrees with its allow-set \
-                 at nr {nr}"
+                 at nr {nr}, arch {arch:#x}"
             ),
+            FleetError::Malformed { allow_hash, err } => {
+                write!(f, "filter {allow_hash:#018x} is malformed: {err}")
+            }
             FleetError::Synthesis(why) => {
                 write!(f, "fleet synthesis failed: {why}")
             }
@@ -421,8 +441,8 @@ fn synthesize_inner(
 
     // Stage 3: build + measure each unique set in parallel. Programs are
     // always rebuilt (cheap, and lets a resume cross-check the journal);
-    // the exhaustive depth probes and the equivalence verification —
-    // the expensive part — are skipped for replayed sets.
+    // the exhaustive depth probes — the expensive part — are skipped for
+    // replayed sets, while the boundary proof runs for every set.
     let probe_evals = opts.probe_max_nr + 1;
     let (measured, _) = par_map_indexed(
         sets.len(),
@@ -468,6 +488,9 @@ fn synthesize_inner(
                     ))
                     .into());
                 }
+                for p in std::iter::once(&tree).chain(&linear) {
+                    prove(checked(p, *hash)?, numbers, *hash, opts)?;
+                }
                 UniqueFilterStats {
                     tree_max_depth: rec.tree_max_depth,
                     tree_depth_total: rec.tree_depth_total,
@@ -477,44 +500,11 @@ fn synthesize_inner(
                     ..base
                 }
             } else {
-                let tp = depth_profile(&tree, opts.probe_max_nr)
-                    .ok_or_else(|| {
-                        FleetError::Synthesis(format!(
-                            "tree filter {hash:#018x} is malformed"
-                        ))
-                    })?;
+                let tp = measure(&tree, numbers, *hash, opts)?;
                 let lp = match &linear {
-                    Some(p) => Some(
-                        depth_profile(p, opts.probe_max_nr).ok_or_else(
-                            || {
-                                FleetError::Synthesis(format!(
-                                    "linear filter {hash:#018x} is malformed"
-                                ))
-                            },
-                        )?,
-                    ),
+                    Some(p) => Some(measure(p, numbers, *hash, opts)?),
                     None => None,
                 };
-                if opts.verify {
-                    for nr in 0..=opts.probe_max_nr {
-                        let want = numbers.binary_search(&nr).is_ok();
-                        let eval = |p: &BpfProgram| {
-                            run_filter(
-                                p,
-                                SeccompData { nr, arch: AUDIT_ARCH_X86_64 },
-                            ) == Some(RET_ALLOW)
-                        };
-                        let tree_ok = eval(&tree) == want;
-                        let linear_ok =
-                            linear.as_ref().is_none_or(|p| eval(p) == want);
-                        if !tree_ok || !linear_ok {
-                            return Err(FleetError::Verification {
-                                allow_hash: *hash,
-                                nr,
-                            });
-                        }
-                    }
-                }
                 UniqueFilterStats {
                     tree_max_depth: tp.max,
                     tree_depth_total: tp.total,
@@ -580,6 +570,46 @@ fn synthesize_inner(
         verified: opts.verify,
         journal: journal.map(|j| j.stats()),
     })
+}
+
+/// Validates a generated program; a refusal is a classified error.
+fn checked(
+    program: &BpfProgram,
+    allow_hash: u64,
+) -> Result<Validated<'_>, FleetError> {
+    validate(program).map_err(|err| FleetError::Malformed { allow_hash, err })
+}
+
+/// With [`FleetOptions::verify`], the boundary-point proof that the
+/// program allows exactly `numbers` over all 2^32 syscall numbers and
+/// kills every number of a wrong architecture.
+fn prove(
+    valid: Validated<'_>,
+    numbers: &[u32],
+    allow_hash: u64,
+    opts: FleetOptions,
+) -> Result<(), FleetError> {
+    if !opts.verify {
+        return Ok(());
+    }
+    valid.verify_allow_set(numbers).map_err(|data| {
+        FleetError::Verification { allow_hash, nr: data.nr, arch: data.arch }
+    })
+}
+
+/// One layout's share of the measure stage for a fresh set: validate
+/// once, profile the depth of every probe `nr` in `0..=probe_max_nr`,
+/// then run the boundary proof.
+fn measure(
+    program: &BpfProgram,
+    numbers: &[u32],
+    allow_hash: u64,
+    opts: FleetOptions,
+) -> Result<DepthProfile, FleetError> {
+    let valid = checked(program, allow_hash)?;
+    let depths = valid.profile(opts.probe_max_nr);
+    prove(valid, numbers, allow_hash, opts)?;
+    Ok(depths)
 }
 
 /// Renders the fleet report: a summary block plus the top unique filters
@@ -830,6 +860,100 @@ mod tests {
             "{sharing} of {} share the prologue",
             report.unique.len()
         );
+    }
+
+    #[test]
+    fn malformed_programs_are_refused_classified() {
+        use crate::seccomp_bpf::{
+            depth_profile, run_filter, BpfInsn, SeccompData, AUDIT_ARCH_X86_64,
+            BPF_MAXINSNS, RET_KILL,
+        };
+        let numbers = [0, 1, 2, 60];
+        let good = BpfProgram::allow_tree(&numbers);
+        // Indices in the tree: 3 is `ld [nr]`, 4 the root `jge`.
+        let with = |pc: usize, insn: BpfInsn| {
+            let mut p = good.clone();
+            p.insns[pc] = insn;
+            p
+        };
+        let root = good.insns[4];
+        let mut past_end = good.clone();
+        let last_jump = past_end
+            .insns
+            .iter()
+            .rposition(|i| i.jf > 0)
+            .expect("the tree has a conditional jump");
+        past_end.insns[last_jump].jf = 200;
+        let mut no_ret = good.clone();
+        no_ret.insns.push(BpfInsn { code: 0x20, jt: 0, jf: 0, k: 0 });
+        let mut too_long = good.clone();
+        too_long.insns.resize(
+            BPF_MAXINSNS + 1,
+            BpfInsn { code: 0x06, jt: 0, jf: 0, k: RET_KILL },
+        );
+        let cases = [
+            // BPF_JMP | BPF_JSET | BPF_K.
+            (
+                with(4, BpfInsn { code: 0x45, ..root }),
+                InvalidProgram::Opcode { pc: 4, code: 0x45 },
+            ),
+            // BPF_ALU | BPF_AND | BPF_K.
+            (
+                with(4, BpfInsn { code: 0x54, jt: 0, jf: 0, k: 0xff }),
+                InvalidProgram::Opcode { pc: 4, code: 0x54 },
+            ),
+            // `ld [16]`: the low word of `args[0]`.
+            (
+                with(3, BpfInsn { code: 0x20, jt: 0, jf: 0, k: 16 }),
+                InvalidProgram::LoadOffset { pc: 3, offset: 16 },
+            ),
+            (past_end, InvalidProgram::JumpOutOfBounds { pc: last_jump }),
+            (no_ret, InvalidProgram::NoFinalRet),
+            (too_long, InvalidProgram::Length { len: BPF_MAXINSNS + 1 }),
+        ];
+        let data = SeccompData { nr: 0, arch: AUDIT_ARCH_X86_64 };
+        for (program, want) in cases {
+            assert_eq!(run_filter(&program, data), None, "{want:?}");
+            assert_eq!(depth_profile(&program, 64), None, "{want:?}");
+            match measure(&program, &numbers, 7, small_opts()) {
+                Err(FleetError::Malformed { allow_hash: 7, err }) => {
+                    assert_eq!(err, want)
+                }
+                other => panic!("{want:?}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn measure_rejects_a_program_that_disagrees_with_its_set() {
+        let numbers = [0, 1, 2, 60];
+        let program = BpfProgram::allow_tree(&[0, 1, 2, 61]);
+        match measure(&program, &numbers, 7, small_opts()) {
+            Err(FleetError::Verification {
+                allow_hash: 7,
+                nr: 60,
+                arch: crate::seccomp_bpf::AUDIT_ARCH_X86_64,
+            }) => {}
+            other => panic!("expected a verification failure, got {other:?}"),
+        }
+        // The proof also covers numbers past the probe range.
+        let far = BpfProgram::allow_tree(&[0, 1, 2, 60, 70_000]);
+        match measure(&far, &numbers, 7, small_opts()) {
+            Err(FleetError::Verification { nr: 70_000, .. }) => {}
+            other => panic!("expected a verification failure, got {other:?}"),
+        }
+        // Without the arch pin every x86-64 verdict is right; the error
+        // names the i386 number that got through.
+        let mut unpinned = BpfProgram::allow_tree(&numbers);
+        unpinned.insns[1] =
+            crate::seccomp_bpf::BpfInsn { code: 0x05, jt: 0, jf: 0, k: 1 };
+        match measure(&unpinned, &numbers, 7, small_opts()) {
+            // AUDIT_ARCH_I386.
+            Err(FleetError::Verification { nr: 0, arch: 0x4000_0003, .. }) => {}
+            other => panic!("expected a wrong-arch failure, got {other:?}"),
+        }
+        let unverified = FleetOptions { verify: false, ..small_opts() };
+        assert!(measure(&far, &numbers, 7, unverified).is_ok());
     }
 
     #[test]

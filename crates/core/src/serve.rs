@@ -709,7 +709,9 @@ struct FdReserve {
 
 impl FdReserve {
     fn new() -> Self {
-        Self { spare: std::fs::File::open("/dev/null").ok() }
+        let mut reserve = Self { spare: None };
+        reserve.refill();
+        reserve
     }
 
     /// Frees the spare descriptor (a no-op if already spent).
@@ -717,10 +719,11 @@ impl FdReserve {
         self.spare = None;
     }
 
-    /// Re-opens the spare (a no-op if still held).
+    /// Re-opens the spare (a no-op if still held). A failed open leaves
+    /// it empty for the next call to retry.
     fn refill(&mut self) {
         if self.spare.is_none() {
-            self.spare = std::fs::File::open("/dev/null").ok();
+            self.spare = crate::sys::open_read_only(c"/dev/null").ok();
         }
     }
 }
@@ -756,10 +759,9 @@ fn reactor_run(
 
     loop {
         // Fd-exhaustion recovery: a closed connection released a
-        // descriptor, so re-register the listener and refill the spare.
+        // descriptor, so re-register the listener.
         if let Some(at) = paused_at {
             if accepting && (at == 0 || conns.len() < at) {
-                reserve.refill();
                 if ep
                     .add(listener.as_raw_fd(), EPOLLIN, TOK_LISTENER)
                     .is_ok()
@@ -772,6 +774,12 @@ fn reactor_run(
                         .fetch_add(1, Ordering::Relaxed);
                 }
             }
+        }
+        // Hold the spare whenever accepting is not paused: this refills
+        // it on the pass that resumes and retries on every later pass
+        // after a failed open (a no-op while it is held).
+        if paused_at.is_none() {
+            reserve.refill();
         }
         // Drain bookkeeping first: stop accepting, tell quiet
         // connections to go, and bound the whole wind-down.
@@ -1696,8 +1704,8 @@ fn reload(expect_fingerprint: u64, shared: &Shared) -> Response {
 
 /// The syscalls the reactor serving path exercises (modern event-driven
 /// surface): `eventfd2` is what glibc's flag-bearing `eventfd` wrapper
-/// invokes, and `clone` is absent — connections are state machines, not
-/// threads.
+/// invokes, `openat` is what its `open` issues for the spare descriptor,
+/// and `clone` is absent — connections are state machines, not threads.
 const REACTOR_SYSCALLS: &[&str] = &[
     "epoll_create1",
     "epoll_ctl",
@@ -1711,6 +1719,7 @@ const REACTOR_SYSCALLS: &[&str] = &[
     "read",
     "write",
     "close",
+    "openat",
 ];
 
 /// The syscalls the retired thread-per-connection daemon exercised:

@@ -2,7 +2,8 @@
 //! surface the reactor ([`crate::serve`]) is built on: `epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd2` (via glibc's `eventfd`), and
 //! `accept4`, plus the raw `read`/`write`/`close` the connection state
-//! machines drive.
+//! machines drive and the `open` that refills the reactor's spare
+//! descriptor.
 //!
 //! A study *of* modern Linux API usage should itself exercise the modern
 //! API surface it measures — every call here is in our own catalog
@@ -29,10 +30,11 @@
 #![allow(unsafe_code)]
 
 use crate::sysfault::{self, SysFaultKind};
+use std::ffi::CStr;
 use std::fs::File;
 use std::io::{self, Write as _};
 use std::net::{TcpListener, TcpStream};
-use std::os::raw::{c_int, c_uint, c_void};
+use std::os::raw::{c_char, c_int, c_uint, c_void};
 use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 use std::time::Duration;
 
@@ -60,6 +62,7 @@ extern "C" {
         addrlen: *mut u32,
         flags: c_int,
     ) -> c_int;
+    fn open(path: *const c_char, flags: c_int, ...) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
     fn close(fd: c_int) -> c_int;
@@ -76,6 +79,9 @@ const EFD_NONBLOCK: c_int = 0o4000;
 
 const SOCK_NONBLOCK: c_int = 0o4000;
 const SOCK_CLOEXEC: c_int = 0o2000000;
+
+const O_RDONLY: c_int = 0;
+const O_CLOEXEC: c_int = 0o2000000;
 
 /// Readable readiness (`EPOLLIN`).
 pub const EPOLLIN: u32 = 0x001;
@@ -438,6 +444,32 @@ pub fn accept_nonblocking(
     }
 }
 
+/// `open(path, O_RDONLY | O_CLOEXEC)` (glibc issues `openat`). `EINTR`
+/// retries; `EMFILE`/`ENFILE` surface as [`SysErrorKind::FdExhausted`].
+pub(crate) fn open_read_only(path: &CStr) -> Result<File, SysError> {
+    loop {
+        if let Some(k) = sysfault::check("open") {
+            let err = fault_error("open", k);
+            if err.kind() == SysErrorKind::Interrupted {
+                continue;
+            }
+            return Err(err);
+        }
+        // SAFETY: `path` is NUL-terminated and outlives the call; without
+        // O_CREAT the variadic mode argument is not read.
+        let fd = unsafe { open(path.as_ptr(), O_RDONLY | O_CLOEXEC) };
+        if fd >= 0 {
+            // SAFETY: `fd` is a fresh descriptor returned by open; File
+            // takes sole ownership.
+            return Ok(unsafe { File::from_raw_fd(fd) });
+        }
+        let err = SysError::capture("open");
+        if err.kind() != SysErrorKind::Interrupted {
+            return Err(err);
+        }
+    }
+}
+
 /// Raw nonblocking read. `Ok(0)` is end-of-stream (peer closed). An
 /// injected `ShortIo` clamps the transfer to one byte — a real read,
 /// just maximally short — so accumulation logic is exercised, not faked.
@@ -628,6 +660,16 @@ mod tests {
         assert!(ready.iter().any(|e| e.data() == 2));
         assert_eq!(read_fd(stream.as_raw_fd(), &mut buf).expect("read"), 4);
         assert_eq!(&buf, b"ping");
+    }
+
+    #[test]
+    fn open_read_only_opens_and_classifies_failures() {
+        let mut file = open_read_only(c"/dev/null").expect("open /dev/null");
+        assert_eq!(io::Read::read(&mut file, &mut [0u8; 4]).expect("read"), 0);
+        let err = open_read_only(c"/nonexistent/apistudy")
+            .expect_err("a missing path must fail");
+        assert_eq!(err.call, "open");
+        assert_eq!(err.kind(), SysErrorKind::Other);
     }
 
     #[test]

@@ -50,6 +50,8 @@ pub enum SysFaultKind {
     /// `EMFILE`: the process is out of file descriptors (`accept4`,
     /// descriptor-creating calls).
     Emfile,
+    /// `ENFILE`: the system-wide file table is full (`open`).
+    Enfile,
     /// `ENOMEM`: the kernel could not allocate (`epoll_ctl`).
     Enomem,
     /// `ENOSPC`: the device is full. On an append path this tears the
@@ -72,6 +74,7 @@ impl SysFaultKind {
             SysFaultKind::Eagain => "eagain",
             SysFaultKind::ShortIo => "short",
             SysFaultKind::Emfile => "emfile",
+            SysFaultKind::Enfile => "enfile",
             SysFaultKind::Enomem => "enomem",
             SysFaultKind::Enospc => "enospc",
             SysFaultKind::Eio => "eio",
@@ -85,6 +88,7 @@ impl SysFaultKind {
             "eagain" => SysFaultKind::Eagain,
             "short" => SysFaultKind::ShortIo,
             "emfile" => SysFaultKind::Emfile,
+            "enfile" => SysFaultKind::Enfile,
             "enomem" => SysFaultKind::Enomem,
             "enospc" => SysFaultKind::Enospc,
             "eio" => SysFaultKind::Eio,
@@ -100,6 +104,7 @@ impl SysFaultKind {
             SysFaultKind::Eintr => 4,
             SysFaultKind::Eagain => 11,
             SysFaultKind::Emfile => 24,
+            SysFaultKind::Enfile => 23,
             SysFaultKind::Enomem => 12,
             SysFaultKind::Enospc => 28,
             SysFaultKind::Eio => 5,
@@ -138,6 +143,11 @@ pub fn plausible_faults(site: &str) -> &'static [SysFaultKind] {
             &[SysFaultKind::Enomem]
         }
         "epoll_create1" | "eventfd" => &[SysFaultKind::Emfile],
+        "open" => &[
+            SysFaultKind::Eintr,
+            SysFaultKind::Emfile,
+            SysFaultKind::Enfile,
+        ],
         "journal.write" | "store.write" => &[
             SysFaultKind::Eintr,
             SysFaultKind::ShortIo,
@@ -232,7 +242,7 @@ impl SysFaultPlan {
     /// `site:kind@N` (fire once, on the N-th call at `site`) or
     /// `site:kind@everyN` (fire on every N-th call), where `site` may
     /// be `*` for any callsite and `kind` is one of `eintr`, `eagain`,
-    /// `short`, `emfile`, `enomem`, `enospc`, `eio`, `auto`. A
+    /// `short`, `emfile`, `enfile`, `enomem`, `enospc`, `eio`, `auto`. A
     /// `seed=N` entry seeds `auto` resolution.
     ///
     /// Example: `*:auto@every11;seed=3` — every 11th syscall fails
@@ -586,6 +596,7 @@ mod tests {
         assert_eq!(SysFaultKind::Eintr.errno(), 4);
         assert_eq!(SysFaultKind::Eagain.errno(), 11);
         assert_eq!(SysFaultKind::Emfile.errno(), 24);
+        assert_eq!(SysFaultKind::Enfile.errno(), 23);
         assert_eq!(SysFaultKind::Enomem.errno(), 12);
         assert_eq!(SysFaultKind::Enospc.errno(), 28);
         assert_eq!(SysFaultKind::Eio.errno(), 5);

@@ -22,7 +22,7 @@
 //!                            (binary-search tree layout, with the legacy
 //!                            linear chain's size/depth for comparison)
 //!   seccomp --all [--journal <path> [--resume]] [--top N]
-//!                            synthesize + bit-verify filters for every
+//!                            synthesize + verify filters for every
 //!                            package: content-hash dedup, shared-prefix
 //!                            accounting, tree-vs-linear eval depth, and
 //!                            popularity-weighted attack-surface reduction;
@@ -555,8 +555,8 @@ fn main() {
                     100.0 * report.weighted_attack_surface_reduction(),
                 );
                 eprintln!(
-                    "synthesized{} in {:.2}s ({:.0} filters/s)",
-                    if report.verified { " + bit-verified" } else { "" },
+                    "synthesized{} in {:.2}s ({:.0} packages/s)",
+                    if report.verified { " + verified" } else { "" },
                     elapsed.as_secs_f64(),
                     f64::from(report.packages) / elapsed.as_secs_f64().max(1e-9),
                 );

@@ -817,6 +817,123 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// seccomp-BPF: the boundary-point proof over all 2^32 syscall numbers.
+// Generated filters over allow-sets anywhere in the u32 range, including
+// around the x32 bit 0x4000_0000 and at u32::MAX, pass it in both
+// layouts, and fail it against a reference missing one number; random
+// probes anywhere agree with set membership.
+// ---------------------------------------------------------------------
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn bpf_boundary_proof_accepts_generated_filters_over_all_u32(
+        // (region, offset): near 0, around 0x4000_0000, up to u32::MAX,
+        // or anywhere.
+        draws in proptest::collection::vec((0u8..4, any::<u32>()), 0..200),
+        probes in proptest::collection::vec(any::<u32>(), 64..65),
+    ) {
+        use apistudy::core::seccomp_bpf::{
+            run_filter, verify_allow_set, BpfProgram, SeccompData,
+            AUDIT_ARCH_X86_64, RET_ALLOW,
+        };
+        let allow: std::collections::BTreeSet<u32> = draws
+            .iter()
+            .map(|&(region, x)| match region {
+                0 => x % 600,
+                1 => 0x3FFF_FF00 + x % 0x200,
+                2 => u32::MAX - x % 300,
+                _ => x,
+            })
+            .collect();
+        let sorted: Vec<u32> = allow.iter().copied().collect();
+        let tree = BpfProgram::try_allow_tree(&sorted).unwrap();
+        let linear = BpfProgram::try_allow_list(&sorted).ok();
+        // A reference missing one of the numbers is refused there.
+        let dropped = (!sorted.is_empty()).then(|| {
+            let at = probes[0] as usize % sorted.len();
+            let mut fewer = sorted.clone();
+            (fewer.remove(at), fewer)
+        });
+        for p in std::iter::once(&tree).chain(&linear) {
+            prop_assert_eq!(verify_allow_set(p, &sorted), Ok(()));
+            if let Some((nr, fewer)) = &dropped {
+                prop_assert_eq!(verify_allow_set(p, fewer), Err(*nr));
+            }
+            let near = sorted.iter().flat_map(|&n| {
+                [n.wrapping_sub(1), n, n.wrapping_add(1)]
+            });
+            for nr in probes.iter().copied().chain(near) {
+                let verdict =
+                    run_filter(p, SeccompData { nr, arch: AUDIT_ARCH_X86_64 });
+                prop_assert_eq!(
+                    verdict == Some(RET_ALLOW),
+                    allow.contains(&nr),
+                    "nr {:#x}", nr
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// seccomp-BPF: the boundary proof fails exactly when the program is
+// wrong. Damage one comparison of a generated filter over 0..4097; every
+// constant then stays below 4098 (or wraps to u32::MAX), so scanning
+// 0..=5000 plus u32::MAX, under both architectures, is a complete
+// reference to compare the proof's verdict with.
+// ---------------------------------------------------------------------
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn bpf_boundary_proof_fails_exactly_when_a_mutant_disagrees(
+        allow in proptest::collection::btree_set(0u32..4097, 0..300),
+        linear_layout in any::<bool>(),
+        pick in any::<usize>(),
+        // Shift the constant up or down by one, or swap the branches.
+        mutation in 0u8..3,
+    ) {
+        use apistudy::core::seccomp_bpf::{
+            run_filter, verify_allow_set, BpfProgram, SeccompData,
+            AUDIT_ARCH_X86_64, RET_ALLOW, RET_KILL,
+        };
+        let sorted: Vec<u32> = allow.iter().copied().collect();
+        let linear = BpfProgram::try_allow_list(&sorted);
+        let mut program = match (linear_layout, linear) {
+            (true, Ok(p)) => p,
+            _ => BpfProgram::try_allow_tree(&sorted).unwrap(),
+        };
+        // jeq, jgt and jge with a constant operand.
+        let comparisons: Vec<usize> = program
+            .insns
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| matches!(i.code, 0x15 | 0x25 | 0x35))
+            .map(|(pc, _)| pc)
+            .collect();
+        let insn = &mut program.insns[comparisons[pick % comparisons.len()]];
+        match mutation {
+            0 => insn.k = insn.k.wrapping_add(1),
+            1 => insn.k = insn.k.wrapping_sub(1),
+            _ => std::mem::swap(&mut insn.jt, &mut insn.jf),
+        }
+        // Wrong under x86-64, or not killed under i386.
+        let disagrees = |nr: u32| {
+            let native = SeccompData { nr, arch: AUDIT_ARCH_X86_64 };
+            let foreign = SeccompData { nr, arch: 0x4000_0003 };
+            (run_filter(&program, native) == Some(RET_ALLOW))
+                != allow.contains(&nr)
+                || run_filter(&program, foreign) != Some(RET_KILL)
+        };
+        let scan_disagrees = (0..=5000u32).chain([u32::MAX]).any(disagrees);
+        let proof = verify_allow_set(&program, &sorted);
+        prop_assert_eq!(proof.is_err(), scan_disagrees, "proof {:?}", proof);
+        if let Err(nr) = proof {
+            prop_assert!(disagrees(nr), "nr {} is no disagreement", nr);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // Streaming: shard-fold determinism. Whatever the shard geometry and
 // whatever order the partials are handed to the fold, the result — and
 // every metric computed from it — is bit-identical to the in-memory

@@ -323,6 +323,80 @@ fn failed_listener_readd_after_accept_pause_is_retried() {
     server.wait();
 }
 
+/// The emergency descriptor's refill is a shimmed `open`: `accept4`
+/// reports `EMFILE`, the spare is spent to shed the queued connection,
+/// and the refill at resume then draws `EMFILE` too. The daemon must
+/// resume with an empty spare and answer, and retry the refill on its
+/// next pass rather than wait for another pause, when the spare is
+/// needed to shed again.
+#[test]
+fn failed_spare_refill_still_resumes_and_is_retried() {
+    let _g = gate();
+    sysfault::clear();
+
+    let server = Server::start(small_study(), None, serve_opts())
+        .expect("server start");
+    let addr = server.addr();
+    // An answered ping proves the reactor is running, so its startup
+    // `open` of the spare has already happened unarmed.
+    let mut warm = Client::connect(addr, policy(), Duration::from_secs(2))
+        .expect("warm connect");
+    assert!(matches!(warm.call(&Request::Ping), Ok(Response::Pong { .. })));
+    drop(warm);
+
+    // Installs `plan`, sheds one connection, waits for the pause and the
+    // refill at resume to fire, then checks that a probe is answered.
+    // Returns the ledger as it stands after the probe.
+    let shed_then_probe = |plan: &str| {
+        sysfault::install(SysFaultPlan::parse(plan).expect("fault spec"));
+        let mut first = Client::connect(addr, policy(), Duration::from_secs(2))
+            .expect("first connect");
+        match first.call(&Request::Ping) {
+            Ok(Response::Err { .. }) | Err(_) => {}
+            Ok(other) => panic!("the shed connection got {other:?}"),
+        }
+        drop(first);
+        let waited = std::time::Instant::now();
+        while sysfault::ledger().len() < 2 {
+            assert!(
+                waited.elapsed() < Duration::from_secs(5),
+                "both faults must fire: {:?}",
+                sysfault::ledger()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut probe =
+            Client::connect(addr, policy(), Duration::from_secs(2))
+                .expect("probe connect");
+        match probe.call(&Request::Ping) {
+            Ok(Response::Pong { .. }) => {}
+            other => panic!("the daemon stopped accepting: {other:?}"),
+        }
+        sysfault::clear()
+    };
+    // The second `open` is the retry: it fires while serving the probe,
+    // with no second pause. Its `EINTR` is retried in place, so the
+    // ledger entry shows the open was attempted.
+    let ledger =
+        shed_then_probe("accept4:emfile@1;open:emfile@1;open:eintr@2");
+    let sites: Vec<_> = ledger.iter().map(|r| (r.site, r.kind)).collect();
+    assert_eq!(
+        sites,
+        [
+            ("accept4", SysFaultKind::Emfile),
+            ("open", SysFaultKind::Emfile),
+            ("open", SysFaultKind::Eintr),
+        ]
+    );
+    assert_eq!(server.stats().accept_pauses, 1);
+    // With the spare held again, the next pause sheds and refills.
+    let ledger = shed_then_probe("accept4:emfile@1;open:eintr@1");
+    assert_eq!(ledger[1].site, "open");
+    assert_eq!(server.stats().accept_pauses, 2);
+    server.shutdown();
+    server.wait();
+}
+
 fn fp() -> RunFingerprint {
     RunFingerprint {
         kind: RunKind::CorruptionSweep,
