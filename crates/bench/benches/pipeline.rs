@@ -9,12 +9,10 @@ use std::collections::BTreeSet;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use apistudy_analysis::{AnalysisOptions, BinaryAnalysis, Linker};
-use apistudy_catalog::{Api, ApiKind, ApiSet, Catalog};
-use apistudy_core::{
-    corruption_sweep_with, AnalysisCache, CacheMode, CompletenessEngine,
-    Metrics, StudyData,
-};
+use apistudy_analysis::{BinaryAnalysis, Linker};
+use apistudy_bench::smoke::reference_study;
+use apistudy_catalog::{Api, ApiSet, Catalog};
+use apistudy_core::{Metrics, StudyData};
 use apistudy_corpus::{
     codegen::{generate_executable, ExecSpec, VectoredVia},
     libc_gen, CalibrationSpec, Scale, SynthRepo,
@@ -121,86 +119,6 @@ fn bench_study(c: &mut Criterion) {
     let supported: std::collections::HashSet<u32> = (0..250).collect();
     c.bench_function("weighted_completeness_250_syscalls", |b| {
         b.iter(|| metrics.syscall_completeness(std::hint::black_box(&supported)))
-    });
-
-    // The suggest sweep: the standalone completeness gain of every
-    // unsupported syscall against a top-60 base — the inner loop of
-    // `apistudy suggest` and of each greedy planning round. `scratch` is
-    // the replaced implementation (clone the support set, recompute
-    // completeness from scratch per candidate); `incremental` probes the
-    // completeness engine, paying only for the counters each candidate
-    // actually touches. The smoke gate in `greedy_smoke` enforces the
-    // ratio; these benches record it.
-    let base: std::collections::HashSet<u32> = metrics
-        .importance_ranking(ApiKind::Syscall)
-        .into_iter()
-        .take(60)
-        .filter_map(|(api, _)| match api {
-            Api::Syscall(nr) => Some(nr),
-            _ => None,
-        })
-        .collect();
-    let candidates: Vec<u32> = data
-        .catalog
-        .syscalls
-        .iter()
-        .map(|d| d.number)
-        .filter(|nr| !base.contains(nr))
-        .collect();
-    c.bench_function("greedy_sweep_scratch", |b| {
-        b.iter(|| {
-            let before = metrics.syscall_completeness(&base);
-            let mut acc = 0.0;
-            for &nr in std::hint::black_box(&candidates) {
-                let mut grown = base.clone();
-                grown.insert(nr);
-                acc += metrics.syscall_completeness(&grown) - before;
-            }
-            acc
-        })
-    });
-    c.bench_function("greedy_sweep_incremental", |b| {
-        b.iter(|| {
-            let mut engine = CompletenessEngine::for_syscalls(&metrics, &base);
-            let mut acc = 0.0;
-            for &nr in std::hint::black_box(&candidates) {
-                acc += engine.probe_gain(Api::Syscall(nr));
-            }
-            acc
-        })
-    });
-
-    // The incremental-cache win on the CLI's full fault grid: eleven
-    // rates, 0% → 10%, plus the clean baseline. `sweep_cold` rebuilds
-    // every point from scratch; `sweep_cached` shares one warm in-memory
-    // cache across iterations, so it measures the steady-state sweep
-    // (only binaries each FaultPlan mutated re-analyze). The smoke gate
-    // in `cache_smoke` enforces the ratio; these benches record it.
-    let rates: Vec<f64> = (0..=10).map(|i| i as f64 / 100.0).collect();
-    let options = AnalysisOptions::default();
-    c.bench_function("sweep_cold", |b| {
-        b.iter(|| {
-            let cache = AnalysisCache::new(CacheMode::Off);
-            corruption_sweep_with(
-                std::hint::black_box(&repo),
-                options,
-                0x5EED,
-                &rates,
-                &cache,
-            )
-        })
-    });
-    let warm = AnalysisCache::new(CacheMode::Mem);
-    c.bench_function("sweep_cached", |b| {
-        b.iter(|| {
-            corruption_sweep_with(
-                std::hint::black_box(&repo),
-                options,
-                0x5EED,
-                &rates,
-                &warm,
-            )
-        })
     });
 }
 
@@ -311,15 +229,11 @@ fn bench_seccomp(c: &mut Criterion) {
     };
     use apistudy_core::{synthesize_fleet, FleetOptions};
 
-    let repo = SynthRepo::new(
-        Scale { packages: 150, installations: 14_250 },
-        CalibrationSpec::default(),
-        2016,
-    );
-    let data = StudyData::from_synth(&repo);
+    let study = reference_study();
+    let data = study.data();
     let opts = FleetOptions { probe_max_nr: 511, verify: false };
     c.bench_function("seccomp_fleet_150_packages", |b| {
-        b.iter(|| synthesize_fleet(std::hint::black_box(&data), opts))
+        b.iter(|| synthesize_fleet(std::hint::black_box(data), opts))
     });
 
     let widest: Vec<u32> = data

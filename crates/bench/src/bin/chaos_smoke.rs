@@ -22,17 +22,12 @@
 
 use std::time::{Duration, Instant};
 
+use apistudy_bench::smoke::{self, reference_study};
 use apistudy_core::sysfault::{self, SysFaultKind, SysFaultPlan};
 use apistudy_core::{
     Client, Journal, JournalError, JournalRecord, Request, Response,
-    RetryPolicy, RunFingerprint, RunKind, ServeOptions, Server, Study,
+    RetryPolicy, RunFingerprint, RunKind, ServeOptions, Server,
 };
-use apistudy_corpus::Scale;
-
-/// Same corpus as `serve_smoke` / the serve_chaos suite.
-fn reference_study() -> Study {
-    Study::run(Scale { packages: 150, installations: 14_250 }, 2016)
-}
 
 const SEEDS: [u64; 3] = [0xFA01, 0xFA02, 0xFA03];
 
@@ -81,6 +76,16 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
+/// The requests of one query session.
+fn session_requests() -> [Request; 4] {
+    [
+        Request::Ping,
+        Request::Importance { nr: 1 },
+        Request::Completeness { supported: vec![0, 1, 2, 3, 9, 60] },
+        Request::Suggest { supported: vec![0, 1, 2, 3], limit: 3 },
+    ]
+}
+
 /// One query session; returns `(ok_replies, classified_failures)` and
 /// checks every successful reply against the baseline bits.
 fn session(
@@ -89,12 +94,7 @@ fn session(
     baseline: &[Vec<u8>],
     cell: &str,
 ) -> (u32, u32) {
-    let reqs = [
-        Request::Ping,
-        Request::Importance { nr: 1 },
-        Request::Completeness { supported: vec![0, 1, 2, 3, 9, 60] },
-        Request::Suggest { supported: vec![0, 1, 2, 3], limit: 3 },
-    ];
+    let reqs = session_requests();
     let (mut ok, mut classified) = (0u32, 0u32);
     let Ok(mut client) =
         Client::connect(addr, policy(seed), Duration::from_secs(5))
@@ -136,12 +136,7 @@ fn serve_matrix() -> (u64, u64) {
 
     // Fault-free baseline bits.
     sysfault::clear();
-    let reqs = [
-        Request::Ping,
-        Request::Importance { nr: 1 },
-        Request::Completeness { supported: vec![0, 1, 2, 3, 9, 60] },
-        Request::Suggest { supported: vec![0, 1, 2, 3], limit: 3 },
-    ];
+    let reqs = session_requests();
     let mut client =
         Client::connect(addr, policy(1), Duration::from_secs(5))
             .unwrap_or_else(|e| fail(&format!("baseline connect: {e}")));
@@ -222,11 +217,7 @@ fn fp() -> RunFingerprint {
 }
 
 fn storage_matrix() -> u64 {
-    let dir = std::env::temp_dir()
-        .join(format!("apistudy-chaos-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir)
-        .unwrap_or_else(|e| fail(&format!("scratch dir: {e}")));
+    let dir = smoke::scratch_dir("chaos-smoke");
     let records: Vec<JournalRecord> = (0..5)
         .map(|i| JournalRecord::SupportSet((0..=i).collect()))
         .collect();
@@ -332,36 +323,6 @@ fn storage_matrix() -> u64 {
     injected_total
 }
 
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    let mut pending: Vec<(&str, u128)> = results
-        .iter()
-        .filter(|(k, _)| !text.contains(&format!("\"{k}\"")))
-        .copied()
-        .collect();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-        if trimmed.starts_with("\"results_ns\"") && !pending.is_empty() {
-            for (key, value) in pending.drain(..) {
-                out.push_str(&format!("    \"{key}\": {value},\n"));
-            }
-        }
-    }
-    std::fs::write(path, out)
-}
-
 fn main() {
     let write_json = !std::env::args().any(|a| a == "--no-json");
 
@@ -382,12 +343,7 @@ fn main() {
     println!("chaos_storage_matrix: {:>9.1} ms", ms(storage_ns));
 
     if write_json {
-        if let Err(e) = record(&[
-            ("chaos_serve_matrix", serve_ns),
-            ("chaos_storage_matrix", storage_ns),
-        ]) {
-            eprintln!("could not update BENCH_pipeline.json: {e}");
-        }
+        smoke::record(&smoke::CHAOS_KEYS, [serve_ns, storage_ns]);
     }
     println!(
         "PASS: every fault kind x {} seeds, zero panics, replies \

@@ -6,7 +6,7 @@
 //! completeness per candidate, the implementation the engine replaced)
 //! and incrementally (one [`CompletenessEngine`], one `probe_gain` per
 //! candidate). Takes the median of several repetitions, verifies the two
-//! sweeps agree bit-for-bit, prints the medians, appends them to
+//! sweeps agree bit-for-bit, prints the medians, records them in
 //! `BENCH_pipeline.json` (keys `greedy_sweep_scratch` /
 //! `greedy_sweep_incremental`), and exits non-zero unless the
 //! incremental sweep is at least [`MIN_SPEEDUP`]× faster, so a
@@ -16,11 +16,10 @@
 //! Usage: `greedy_smoke [reps] [--no-json]` (reps defaults to 5).
 
 use std::collections::HashSet;
-use std::time::Instant;
 
+use apistudy_bench::smoke::{self, sweep_repo, time_reps, Gate};
 use apistudy_catalog::{Api, ApiKind};
 use apistudy_core::{CompletenessEngine, Metrics, StudyData};
-use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 
 /// The gate: the incremental sweep must beat the from-scratch sweep by
 /// at least this factor at 150 packages. The measured ratio is far
@@ -29,80 +28,10 @@ use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 /// engine pass.
 const MIN_SPEEDUP: f64 = 10.0;
 
-/// Same corpus as the `pipeline_150_packages` bench and `cache_smoke`,
-/// so the recorded numbers compose with the existing baseline.
-fn repo() -> SynthRepo {
-    SynthRepo::new(
-        Scale { packages: 150, installations: 50_000 },
-        CalibrationSpec::default(),
-        5,
-    )
-}
-
-fn median(mut samples: Vec<u128>) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn time_reps(reps: usize, mut f: impl FnMut()) -> u128 {
-    let samples = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    median(samples)
-}
-
-/// Updates (or inserts) keys in BENCH_pipeline.json's `results_ns` map
-/// without disturbing the rest of the hand-maintained file.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    let mut pending: Vec<(&str, u128)> = results
-        .iter()
-        .filter(|(k, _)| !text.contains(&format!("\"{k}\"")))
-        .copied()
-        .collect();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        // New keys slot in right after the map opens.
-        out.push_str(line);
-        out.push('\n');
-        if trimmed.starts_with("\"results_ns\"") && !pending.is_empty() {
-            for (key, value) in pending.drain(..) {
-                out.push_str(&format!("    \"{key}\": {value},\n"));
-            }
-        }
-    }
-    std::fs::write(path, out)
-}
-
 fn main() {
-    let mut reps = 5usize;
-    let mut write_json = true;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--no-json" => write_json = false,
-            other => {
-                reps = other.parse().unwrap_or_else(|_| {
-                    eprintln!("usage: greedy_smoke [reps] [--no-json]");
-                    std::process::exit(2)
-                })
-            }
-        }
-    }
-    let repo = repo();
+    let (reps, write_json) =
+        smoke::reps_and_json(5, "greedy_smoke [reps] [--no-json]");
+    let repo = sweep_repo();
     let data = StudyData::from_synth(&repo);
     let metrics = Metrics::new(&data);
 
@@ -166,7 +95,6 @@ fn main() {
     });
 
     let ms = |ns: u128| ns as f64 / 1e6;
-    let speedup = scratch as f64 / incremental as f64;
     println!(
         "greedy_sweep_scratch     ({} candidates): {:>9.3} ms",
         candidates.len(),
@@ -177,23 +105,17 @@ fn main() {
         candidates.len(),
         ms(incremental)
     );
-    println!("incremental vs scratch sweep: {speedup:.1}x");
 
     if write_json {
-        if let Err(e) = record(&[
-            ("greedy_sweep_scratch", scratch),
-            ("greedy_sweep_incremental", incremental),
-        ]) {
-            eprintln!("could not update BENCH_pipeline.json: {e}");
-        }
+        smoke::record(&smoke::GREEDY_KEYS, [scratch, incremental]);
     }
 
-    if speedup < MIN_SPEEDUP {
-        eprintln!(
-            "FAIL: incremental sweep only {speedup:.2}x faster than scratch \
-             (gate: {MIN_SPEEDUP}x)"
-        );
-        std::process::exit(1);
-    }
-    println!("PASS: incremental sweep >= {MIN_SPEEDUP}x faster than scratch");
+    smoke::enforce(
+        &[Gate::at_least(
+            "incremental vs scratch sweep (x)",
+            scratch as f64 / incremental as f64,
+            MIN_SPEEDUP,
+        )],
+        &format!("incremental sweep >= {MIN_SPEEDUP}x faster than scratch"),
+    );
 }

@@ -1,74 +1,47 @@
-//! CI smoke gate for crash-safe sweep resume.
+//! CI smoke gate for the incremental analysis cache and crash-safe sweep
+//! resume.
 //!
-//! Reconstructs the exact on-disk state a `faults --journal` run leaves
-//! behind when it dies halfway through the 11-point corruption sweep at
-//! 150 packages — a write-ahead journal holding the baseline support set
-//! plus the first six sweep points, and a disk analysis cache warmed by
-//! exactly those points — then measures three runs:
+//! Times the 11-point corruption sweep at 150 packages four ways, the
+//! median of several repetitions each:
 //!
 //! - **cold**: the full sweep from nothing (no journal, cache off);
-//! - **resume**: the same sweep resumed from the half journal + half-warm
-//!   disk cache (replays 7 records, computes the 5-point tail);
+//! - **cached**: the same sweep over one shared in-memory cache;
+//! - **resume**: the sweep resumed from the state a `faults --journal`
+//!   run leaves when it dies halfway: a write-ahead journal holding the
+//!   baseline support set plus the first six points, and a disk analysis
+//!   cache warmed by exactly those points (replays 7 records, computes the
+//!   5-point tail);
 //! - **full replay**: resuming a complete journal (no corpus re-measured).
 //!
-//! The gate fails unless resume is at least [`MIN_SPEEDUP`]× faster than
-//! cold, the resumed stats are ledger-exact (7 replayed, 5 appended), and
-//! every resumed point is bit-identical (f64 bit patterns included) to
-//! the uninterrupted run — so a regression that silently recomputes, or
-//! worse drifts, fails the job instead of just slowing it.
+//! The gate fails unless the cached sweep and the resume are each at
+//! least [`MIN_SPEEDUP`]× faster than cold, the resumed stats are
+//! ledger-exact (7 replayed, 5 appended), and every resumed point is
+//! bit-identical (f64 bit patterns included) to the uninterrupted run,
+//! so a regression that quietly disables the cache, recomputes on
+//! resume, or drifts fails the job instead of just slowing it.
 //!
 //! Usage: `resume_smoke [reps] [--no-json]` (reps defaults to 3).
 
 use std::path::Path;
-use std::time::Instant;
 
 use apistudy_analysis::AnalysisOptions;
+use apistudy_bench::smoke::{
+    self, sweep_rates, sweep_repo, time_reps, Gate, SWEEP_FAULT_SEED,
+};
 use apistudy_core::{
     cache::{AnalysisCache, CacheMode},
     corruption_sweep_journaled, corruption_sweep_with, DegradationPoint,
     FRAME_HEADER, LOG_HEADER,
 };
-use apistudy_corpus::{CalibrationSpec, Scale, SynthRepo};
 
-/// The gate: resuming a half-completed sweep must beat the cold sweep by
-/// at least this factor. Resume skips the baseline pipeline and six of
-/// eleven points outright, and the tail points warm-start from the disk
-/// cache, so the measured ratio is far higher; 3× leaves headroom for
-/// noisy CI machines without letting a broken resume path pass.
+/// Both gates: the cached sweep and the resumed half sweep must each
+/// beat the cold sweep by at least this factor. Most of a cached sweep
+/// point is byte-identical to the baseline, and resume skips the
+/// baseline pipeline and six of eleven points outright while its tail
+/// warm-starts from the disk cache, so the measured ratios are far
+/// higher; 3× leaves headroom for noisy CI machines without letting a
+/// disabled cache or a broken resume path pass.
 const MIN_SPEEDUP: f64 = 3.0;
-
-/// Same corpus as `cache_smoke` / the `pipeline_150_packages` bench, so
-/// the recorded numbers compose with the existing baselines.
-fn repo() -> SynthRepo {
-    SynthRepo::new(
-        Scale { packages: 150, installations: 50_000 },
-        CalibrationSpec::default(),
-        5,
-    )
-}
-
-/// Eleven rates, 0% → 10% in 1% steps — the CLI's `faults` grid.
-fn rates() -> Vec<f64> {
-    (0..=10).map(|i| i as f64 / 100.0).collect()
-}
-
-const FAULT_SEED: u64 = 0x5EED;
-
-fn median(mut samples: Vec<u128>) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn time_reps(reps: usize, mut f: impl FnMut()) -> u128 {
-    let samples = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_nanos()
-        })
-        .collect();
-    median(samples)
-}
 
 /// Truncates a copy of `full` after its first `keep` records, emulating
 /// a crash between two appends (the torn-tail case is covered by the
@@ -97,39 +70,6 @@ fn reset_dir_from(src: &Path, dst: &Path) {
     }
 }
 
-/// Updates (or inserts) keys in BENCH_pipeline.json's `results_ns` map
-/// without disturbing the rest of the hand-maintained file.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    let mut pending: Vec<(&str, u128)> = results
-        .iter()
-        .filter(|(k, _)| !text.contains(&format!("\"{k}\"")))
-        .copied()
-        .collect();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("    \"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        // New keys slot in right after the map opens.
-        out.push_str(line);
-        out.push('\n');
-        if trimmed.starts_with("\"results_ns\"") && !pending.is_empty() {
-            for (key, value) in pending.drain(..) {
-                out.push_str(&format!("    \"{key}\": {value},\n"));
-            }
-        }
-    }
-    std::fs::write(path, out)
-}
-
 fn assert_bit_identical(resumed: &[DegradationPoint], cold: &[DegradationPoint]) {
     assert_eq!(resumed.len(), cold.len(), "point count diverged");
     for (r, c) in resumed.iter().zip(cold) {
@@ -150,26 +90,12 @@ fn assert_bit_identical(resumed: &[DegradationPoint], cold: &[DegradationPoint])
 }
 
 fn main() {
-    let mut reps = 3usize;
-    let mut write_json = true;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--no-json" => write_json = false,
-            other => {
-                reps = other.parse().unwrap_or_else(|_| {
-                    eprintln!("usage: resume_smoke [reps] [--no-json]");
-                    std::process::exit(2)
-                })
-            }
-        }
-    }
-    let repo = repo();
-    let rates = rates();
+    let (reps, write_json) =
+        smoke::reps_and_json(3, "resume_smoke [reps] [--no-json]");
+    let repo = sweep_repo();
+    let rates = sweep_rates();
     let options = AnalysisOptions::default();
-    let root = std::env::temp_dir()
-        .join(format!("apistudy-resume-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    std::fs::create_dir_all(&root).expect("create scratch dir");
+    let root = smoke::scratch_dir("resume-smoke");
 
     // --- Prepare the crash state -------------------------------------
     // A full journaled run yields the reference points and the complete
@@ -179,7 +105,7 @@ fn main() {
     let (reference, full_stats) = corruption_sweep_journaled(
         &repo,
         options,
-        FAULT_SEED,
+        SWEEP_FAULT_SEED,
         &rates,
         &AnalysisCache::new(CacheMode::Off),
         &full_journal,
@@ -198,16 +124,32 @@ fn main() {
     std::fs::create_dir_all(&cache_snapshot).expect("create snapshot dir");
     let warm =
         AnalysisCache::with_dir(CacheMode::Disk, cache_snapshot.clone());
-    corruption_sweep_with(&repo, options, FAULT_SEED, &rates[..7], &warm);
+    corruption_sweep_with(
+        &repo,
+        options,
+        SWEEP_FAULT_SEED,
+        &rates[..7],
+        &warm,
+    );
     warm.persist().expect("persist warm cache");
 
-    // --- Time the three runs -----------------------------------------
-    let cold = time_reps(reps, || {
-        let cache = AnalysisCache::new(CacheMode::Off);
-        std::hint::black_box(
-            corruption_sweep_with(&repo, options, FAULT_SEED, &rates, &cache),
-        );
-    });
+    // --- Time the four runs ------------------------------------------
+    let sweep = |cache: &AnalysisCache| {
+        std::hint::black_box(corruption_sweep_with(
+            &repo,
+            options,
+            SWEEP_FAULT_SEED,
+            &rates,
+            cache,
+        ));
+    };
+    let cold = time_reps(reps, || sweep(&AnalysisCache::new(CacheMode::Off)));
+    // One cache across the repetitions: the first rep warms it, the
+    // median then measures the steady-state incremental sweep — the
+    // state every run after the first sees in `mem` mode, and every run
+    // including the first sees in `disk` mode after one prior process.
+    let mem = AnalysisCache::new(CacheMode::Mem);
+    let cached = time_reps(reps.max(2), || sweep(&mem));
 
     let work_journal = root.join("work.journal");
     let work_cache = root.join("cache-work");
@@ -224,7 +166,7 @@ fn main() {
         let (points, stats) = corruption_sweep_journaled(
             &repo,
             options,
-            FAULT_SEED,
+            SWEEP_FAULT_SEED,
             &rates,
             &cache,
             &work_journal,
@@ -240,7 +182,7 @@ fn main() {
         let (points, stats) = corruption_sweep_journaled(
             &repo,
             options,
-            FAULT_SEED,
+            SWEEP_FAULT_SEED,
             &rates,
             &cache,
             &full_journal,
@@ -266,32 +208,32 @@ fn main() {
     );
 
     let ms = |ns: u128| ns as f64 / 1e6;
-    let speedup = cold as f64 / resume as f64;
-    println!("sweep_resume_cold (11 points, no journal):   {:>9.1} ms", ms(cold));
-    println!("sweep_resume_half (replay 7, compute 5):     {:>9.1} ms", ms(resume));
-    println!("sweep_resume_replay (replay 12, compute 0):  {:>9.1} ms", ms(replay));
-    println!("resume vs cold sweep: {speedup:.1}x");
+    println!("sweep_cold   (11 points + baseline, off): {:>9.1} ms", ms(cold));
+    println!("sweep_cached (11 points + baseline, mem): {:>9.1} ms", ms(cached));
+    println!("sweep_resume_half   (replay 7, compute 5):  {:>9.1} ms", ms(resume));
+    println!("sweep_resume_replay (replay 12, compute 0): {:>9.1} ms", ms(replay));
 
     if write_json {
-        if let Err(e) = record(&[
-            ("sweep_resume_cold", cold),
-            ("sweep_resume_half", resume),
-            ("sweep_resume_replay", replay),
-        ]) {
-            eprintln!("could not update BENCH_pipeline.json: {e}");
-        }
+        smoke::record(&smoke::RESUME_KEYS, [cold, cached, resume, replay]);
     }
     let _ = std::fs::remove_dir_all(&root);
 
-    if speedup < MIN_SPEEDUP {
-        eprintln!(
-            "FAIL: resumed sweep only {speedup:.2}x faster than cold \
-             (gate: {MIN_SPEEDUP}x)"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: resumed half-sweep bit-identical and >= {MIN_SPEEDUP}x \
-         faster than cold"
+    smoke::enforce(
+        &[
+            Gate::at_least(
+                "cached sweep vs cold (x)",
+                cold as f64 / cached as f64,
+                MIN_SPEEDUP,
+            ),
+            Gate::at_least(
+                "resumed half sweep vs cold (x)",
+                cold as f64 / resume as f64,
+                MIN_SPEEDUP,
+            ),
+        ],
+        &format!(
+            "cached sweep and ledger-exact, bit-identical resumed \
+             half-sweep each >= {MIN_SPEEDUP}x faster than cold"
+        ),
     );
 }

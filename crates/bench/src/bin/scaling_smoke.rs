@@ -25,6 +25,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use apistudy_analysis::AnalysisOptions;
+use apistudy_bench::smoke::{self, Gate};
 use apistudy_catalog::Api;
 use apistudy_core::{
     diagnostics::peak_rss_kb, study_sharded, Metrics, StudyData,
@@ -114,31 +115,26 @@ fn check() {
     let data = run_sharded(GATE_PACKAGES, SHARD);
     let wall_ms = start.elapsed().as_millis();
     let rss_kb = peak_rss_kb();
-    println!(
-        "gate: {} packages sharded-{SHARD} in {wall_ms} ms, \
-         peak RSS {:.0} MiB",
-        data.packages.len(),
-        rss_kb as f64 / 1024.0
-    );
     assert_eq!(data.packages.len(), GATE_PACKAGES);
-    if wall_ms > WALL_BUDGET_MS {
-        eprintln!(
-            "FAIL: {GATE_PACKAGES} packages took {wall_ms} ms \
-             (budget {WALL_BUDGET_MS} ms)"
-        );
-        std::process::exit(1);
-    }
-    // `VmHWM` reads 0 off Linux; the RSS leg of the gate is a no-op there.
-    if rss_kb > RSS_BUDGET_KB {
-        eprintln!(
-            "FAIL: peak RSS {rss_kb} kB (budget {RSS_BUDGET_KB} kB) — \
-             is the pipeline materializing more than one shard?"
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: streaming pipeline bit-identical at 600 and within \
-         wall/RSS budget at {GATE_PACKAGES}"
+    // `VmHWM` reads 0 off Linux; the RSS gate is a no-op there.
+    smoke::enforce(
+        &[
+            Gate::at_most(
+                format!("{GATE_PACKAGES} packages sharded-{SHARD} wall (ms)"),
+                wall_ms as f64,
+                WALL_BUDGET_MS as f64,
+            ),
+            Gate::at_most(
+                "peak RSS (kB; over budget means more than one shard is \
+                 materialized)",
+                rss_kb as f64,
+                RSS_BUDGET_KB as f64,
+            ),
+        ],
+        &format!(
+            "streaming pipeline bit-identical at 600 and within wall/RSS \
+             budget at {GATE_PACKAGES}"
+        ),
     );
 }
 

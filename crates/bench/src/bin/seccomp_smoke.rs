@@ -30,6 +30,7 @@ use std::path::Path;
 use std::process::Command;
 use std::time::Instant;
 
+use apistudy_bench::smoke::{self, reference_study, Gate};
 use apistudy_core::{
     synthesize_fleet, synthesize_fleet_journaled, FleetOptions, FleetReport,
     Study,
@@ -51,10 +52,6 @@ const MAX_BATCH_SECS_3000: f64 = 3.0;
 /// the worker pool.
 const MAX_BATCH_SECS: f64 = 120.0;
 
-fn reference_study() -> Study {
-    Study::run(Scale { packages: 150, installations: 14_250 }, 2016)
-}
-
 fn batch_study(packages: usize) -> Study {
     let scale = Scale { packages, installations: 95 * packages as u64 };
     if packages > 1024 {
@@ -73,29 +70,6 @@ fn strip(mut r: FleetReport) -> FleetReport {
         u.replayed = false;
     }
     r
-}
-
-/// Same in-place JSON update idiom as the other smoke gates: rewrite
-/// only the measured keys, leave the hand-maintained rest untouched.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let path = "BENCH_pipeline.json";
-    let text = std::fs::read_to_string(path)?;
-    let mut out = String::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let indent = &line[..line.len() - trimmed.len()];
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("{indent}\"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    std::fs::write(path, out)
 }
 
 /// Child mode: run the journaled batch; the parent's
@@ -153,10 +127,6 @@ fn equivalence_gate() -> (u32, u32, f64) {
         widest.tree_max_depth,
         widest.linear_max_depth,
     );
-    assert!(
-        ratio >= MIN_DEPTH_RATIO,
-        "depth ratio {ratio:.1} under the {MIN_DEPTH_RATIO} gate"
-    );
     (report.max_tree_depth(), report.max_linear_depth(), ratio)
 }
 
@@ -164,10 +134,7 @@ fn crash_resume_gate(
     packages: usize,
     control: &FleetReport,
 ) -> apistudy_core::JournalStats {
-    let dir = std::env::temp_dir()
-        .join(format!("apistudy-seccomp-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = smoke::scratch_dir("seccomp-smoke");
     let journal = dir.join("fleet.apsj");
 
     // Kill the child halfway through its appends: the torn journal must
@@ -266,11 +233,6 @@ fn main() {
         control.prefix_shared_insns(),
         100.0 * control.weighted_attack_surface_reduction(),
     );
-    assert!(
-        elapsed.as_secs_f64() <= budget,
-        "batch took {:.1}s, budget {budget}s",
-        elapsed.as_secs_f64()
-    );
 
     let stats = crash_resume_gate(packages, &control);
     println!(
@@ -280,37 +242,39 @@ fn main() {
     );
 
     if write_json {
-        if let Err(e) = record(&[
-            ("seccomp_batch_packages", u128::from(control.packages)),
-            ("seccomp_batch_unique", control.unique.len() as u128),
-            ("seccomp_batch_synth_ms", elapsed.as_millis()),
-            ("seccomp_batch_packages_per_s", packages_per_s as u128),
-            ("seccomp_batch_unique_per_s", unique_per_s as u128),
-            (
-                "seccomp_dedup_ratio_x100",
+        smoke::record(
+            &smoke::SECCOMP_KEYS,
+            [
+                u128::from(control.packages),
+                control.unique.len() as u128,
+                elapsed.as_millis(),
+                packages_per_s as u128,
+                unique_per_s as u128,
                 (control.dedup_ratio() * 100.0) as u128,
-            ),
-            (
-                "seccomp_prefix_shared_insns",
                 u128::from(control.prefix_shared_insns()),
-            ),
-            ("seccomp_tree_max_depth", u128::from(tree_max)),
-            ("seccomp_linear_max_depth", u128::from(linear_max)),
-            ("seccomp_depth_ratio_x100", (ratio * 100.0) as u128),
-            (
-                "seccomp_attack_surface_pct_x10",
-                (control.weighted_attack_surface_reduction() * 1000.0)
-                    as u128,
-            ),
-        ]) {
-            eprintln!("could not update BENCH_pipeline.json: {e}");
-        }
+                u128::from(tree_max),
+                u128::from(linear_max),
+                (ratio * 100.0) as u128,
+                (control.weighted_attack_surface_reduction() * 1000.0) as u128,
+            ],
+        );
     }
 
-    println!(
-        "PASS: tree == linear == reference for all 2^32 numbers; depth \
-         exhaustive over 0..=4096; depth ratio >= {MIN_DEPTH_RATIO}; \
-         {packages}-package batch under {budget}s; crash resume \
-         bit-identical"
+    smoke::enforce(
+        &[
+            Gate::at_least(
+                "widest footprint linear/tree depth (x)",
+                ratio,
+                MIN_DEPTH_RATIO,
+            ),
+            Gate::at_most(
+                format!("{packages}-package batch (s)"),
+                elapsed.as_secs_f64(),
+                budget,
+            ),
+        ],
+        "tree == linear == reference for all 2^32 numbers; depth \
+         exhaustive over 0..=4096; depth ratio and batch time within \
+         their gates; crash resume bit-identical",
     );
 }

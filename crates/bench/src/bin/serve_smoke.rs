@@ -16,8 +16,8 @@
 //! **Check mode** (`--check`, used by CI): never rewrites
 //! BENCH_pipeline.json; instead fails if the measured numbers regress
 //! past the absolute gates *or* fall more than 2x behind the committed
-//! baseline keys, so a perf regression can't merge invisibly by
-//! overwriting its own reference numbers.
+//! baseline keys, or a baseline key is missing, so a perf regression
+//! can't merge invisibly by overwriting its own reference numbers.
 //!
 //! **Subprocess mode** (`--bin <path to apistudy>`): additionally boots
 //! the real binary with an on-disk footprint store, `kill -9`s it
@@ -38,12 +38,12 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use apistudy_bench::smoke::{self, reference_study, Gate};
 use apistudy_catalog::Api;
 use apistudy_core::{
     greedy_suggestions, Client, Metrics, Request, Response, RetryPolicy,
     Server, ServeOptions, Study,
 };
-use apistudy_corpus::Scale;
 
 /// Aggregate throughput floor on the latency wave. The reactor's inline
 /// fast path answers pings and cache hits without a worker round trip,
@@ -68,12 +68,6 @@ const SCALE_CLIENTS: usize = 256;
 
 /// Requests per client on the scaling wave.
 const SCALE_REQUESTS: usize = 8;
-
-/// Same corpus as the serve_chaos suite and the `--scale 150 --seed
-/// 2016` command line (`--scale N` implies `installations = 95·N`).
-fn reference_study() -> Study {
-    Study::run(Scale { packages: 150, installations: 14_250 }, 2016)
-}
 
 /// Syscall numbers the importance probes cycle through.
 const PROBE_NRS: [u32; 4] = [0, 1, 9, 60];
@@ -188,6 +182,36 @@ fn client_load(
     lat
 }
 
+/// Runs `clients` concurrent [`client_load`]s of `requests` each and
+/// returns every latency with the wall time from the moment all clients
+/// are warm (the barrier releases) to the last reply.
+fn load_wave(
+    addr: SocketAddr,
+    clients: usize,
+    requests: usize,
+    seed: u64,
+    exp: &Expected,
+) -> (Vec<u128>, Duration) {
+    let gate = std::sync::Barrier::new(clients + 1);
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|i| {
+                let gate = &gate;
+                s.spawn(move || {
+                    client_load(addr, seed ^ i as u64, requests, gate, exp)
+                })
+            })
+            .collect();
+        gate.wait();
+        let wall = Instant::now();
+        let lat = handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("client thread"))
+            .collect();
+        (lat, wall.elapsed())
+    })
+}
+
 /// One batch client's loop: `rounds` batches of `width` probe-mix
 /// sub-requests over a single connection, every reply verified.
 fn batch_load(
@@ -216,69 +240,6 @@ fn batch_load(
 fn percentile(sorted: &[u128], p: f64) -> u128 {
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx]
-}
-
-const BENCH_JSON: &str = "BENCH_pipeline.json";
-
-/// Updates (or leaves untouched) the `serve` section's measured keys in
-/// BENCH_pipeline.json without disturbing the hand-maintained rest.
-fn record(results: &[(&str, u128)]) -> std::io::Result<()> {
-    let text = std::fs::read_to_string(BENCH_JSON)?;
-    let mut out = String::new();
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if let Some((key, value)) = results
-            .iter()
-            .find(|(k, _)| trimmed.starts_with(&format!("\"{k}\":")))
-        {
-            let indent = &line[..line.len() - trimmed.len()];
-            let comma = if trimmed.ends_with(',') { "," } else { "" };
-            out.push_str(&format!("{indent}\"{key}\": {value}{comma}\n"));
-            continue;
-        }
-        out.push_str(line);
-        out.push('\n');
-    }
-    std::fs::write(BENCH_JSON, out)
-}
-
-/// Reads one integer key back out of BENCH_pipeline.json (the same
-/// line-oriented convention `record` writes).
-fn recorded(key: &str) -> Option<u128> {
-    let text = std::fs::read_to_string(BENCH_JSON).ok()?;
-    for line in text.lines() {
-        if let Some(rest) = line.trim().strip_prefix(&format!("\"{key}\":"))
-        {
-            return rest.trim().trim_end_matches(',').parse().ok();
-        }
-    }
-    None
-}
-
-/// `--check`: compare the measured latency-wave numbers against the
-/// committed baseline; a regression past [`CHECK_SLACK`] fails the run
-/// even if the absolute gates still pass.
-fn check_against_recorded(p99_us: u128, qps: f64) -> bool {
-    let mut ok = true;
-    if let Some(base) = recorded("serve_p99_us") {
-        let cap = base as f64 * CHECK_SLACK;
-        println!(
-            "check: p99 {p99_us} us vs recorded {base} us (cap {cap:.0})"
-        );
-        if p99_us as f64 > cap {
-            eprintln!("FAIL: p99 regressed past {CHECK_SLACK}x baseline");
-            ok = false;
-        }
-    }
-    if let Some(base) = recorded("serve_qps") {
-        let floor = base as f64 / CHECK_SLACK;
-        println!("check: {qps:.0} qps vs recorded {base} (floor {floor:.0})");
-        if qps < floor {
-            eprintln!("FAIL: qps regressed past {CHECK_SLACK}x baseline");
-            ok = false;
-        }
-    }
-    ok
 }
 
 /// Spawns the real binary serving the reference corpus, parses the
@@ -319,10 +280,7 @@ fn spawn_daemon(bin: &Path, extra: &[&str]) -> (Child, SocketAddr, u64) {
 /// the same fingerprint and bit-identical answers to a client
 /// reconnecting with backoff.
 fn kill9_gate(bin: &Path, exp: &Expected) {
-    let dir = std::env::temp_dir()
-        .join(format!("apistudy-serve-smoke-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = smoke::scratch_dir("serve-smoke");
     let store = dir.join("footprints.apsf");
     let store_arg = store.to_str().expect("utf8 path");
 
@@ -335,16 +293,7 @@ fn kill9_gate(bin: &Path, exp: &Expected) {
         Duration::from_secs(10),
     )
     .expect("connect to boot 1");
-    match c.call(&Request::Importance { nr: 1 }).expect("boot 1 answers") {
-        Response::Importance { importance_bits, unweighted_bits } => {
-            assert_eq!(
-                (importance_bits, unweighted_bits),
-                exp.importance[1],
-                "boot 1 importance bits"
-            );
-        }
-        other => panic!("unexpected reply {other:?}"),
-    }
+    verify(1, c.call(&probe(1)).expect("boot 1 answers"), exp);
     boot1.kill().expect("kill -9 boot 1");
     let _ = boot1.wait();
 
@@ -365,16 +314,7 @@ fn kill9_gate(bin: &Path, exp: &Expected) {
         Duration::from_secs(10),
     )
     .expect("reconnect to boot 2 with backoff");
-    match c.call(&Request::Importance { nr: 1 }).expect("boot 2 answers") {
-        Response::Importance { importance_bits, unweighted_bits } => {
-            assert_eq!(
-                (importance_bits, unweighted_bits),
-                exp.importance[1],
-                "boot 2 importance bits after restart"
-            );
-        }
-        other => panic!("unexpected reply {other:?}"),
-    }
+    verify(1, c.call(&probe(1)).expect("boot 2 answers"), exp);
     // The restarted daemon must also take batch frames end to end.
     let reqs: Vec<Request> = (0..8).map(probe).collect();
     for (i, resp) in
@@ -453,34 +393,9 @@ fn main() {
     let addr = server.addr();
 
     // Wave 1: the latency wave — one request in flight per connection,
-    // per-request round trips measured from a barrier all warm clients
-    // park on (the main thread holds the extra slot and starts the
-    // wall clock when the barrier releases).
-    let gate = std::sync::Barrier::new(clients + 1);
-    let (mut latencies, elapsed): (Vec<u128>, Duration) =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..clients)
-                .map(|i| {
-                    let (exp, gate) = (&exp, &gate);
-                    s.spawn(move || {
-                        client_load(
-                            addr,
-                            0xC0FFEE ^ i as u64,
-                            requests,
-                            gate,
-                            exp,
-                        )
-                    })
-                })
-                .collect();
-            gate.wait();
-            let wall = Instant::now();
-            let lat = handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("client thread"))
-                .collect();
-            (lat, wall.elapsed())
-        });
+    // per-request round trips measured once every client is warm.
+    let (mut latencies, elapsed) =
+        load_wave(addr, clients, requests, 0xC0FFEE, &exp);
     latencies.sort_unstable();
     let total = (clients * requests) as u64;
     let p50 = percentile(&latencies, 0.50);
@@ -523,21 +438,10 @@ fn main() {
     // Wave 3: the scaling point — 256 concurrent connections, a count
     // the thread-per-connection pool refused at the door. Every connect
     // must land (rejected_busy stays 0) and every reply must verify.
-    let gate = std::sync::Barrier::new(SCALE_CLIENTS + 1);
-    // `scope` joins every client before returning, so `start.elapsed()`
-    // afterwards spans barrier release to last reply.
-    let start = std::thread::scope(|s| {
-        for i in 0..SCALE_CLIENTS {
-            let (exp, gate) = (&exp, &gate);
-            s.spawn(move || {
-                client_load(addr, 0x256C ^ i as u64, SCALE_REQUESTS, gate, exp)
-            });
-        }
-        gate.wait();
-        Instant::now()
-    });
+    let (_, scale_elapsed) =
+        load_wave(addr, SCALE_CLIENTS, SCALE_REQUESTS, 0x256C, &exp);
     let scale_total = (SCALE_CLIENTS * SCALE_REQUESTS) as u64;
-    let scale_qps = scale_total as f64 / start.elapsed().as_secs_f64();
+    let scale_qps = scale_total as f64 / scale_elapsed.as_secs_f64();
     println!(
         "{SCALE_CLIENTS} clients x {SCALE_REQUESTS} requests: \
          {scale_qps:.0} qps, zero drops"
@@ -570,38 +474,41 @@ fn main() {
     );
 
     if write_json {
-        if let Err(e) = record(&[
-            ("serve_p50_us", p50 / 1000),
-            ("serve_p99_us", p99 / 1000),
-            ("serve_qps", qps as u128),
-            ("serve_batch_qps", batch_qps as u128),
-            ("serve_c256_qps", scale_qps as u128),
-        ]) {
-            eprintln!("could not update BENCH_pipeline.json: {e}");
-        }
+        smoke::record(
+            &smoke::SERVE_KEYS,
+            [
+                p50 / 1000,
+                p99 / 1000,
+                qps as u128,
+                batch_qps as u128,
+                scale_qps as u128,
+            ],
+        );
     }
 
     if let Some(bin) = bin {
         kill9_gate(Path::new(&bin), &exp);
     }
 
-    let mut ok = true;
-    let p99_ms = p99 as f64 / 1e6;
-    if qps < MIN_QPS || p99_ms > MAX_P99_MS {
-        eprintln!(
-            "FAIL: {qps:.0} qps (gate {MIN_QPS}), p99 {p99_ms:.2} ms \
-             (gate {MAX_P99_MS} ms)"
-        );
-        ok = false;
+    let mut gates = vec![
+        Gate::at_least("latency wave qps", qps, MIN_QPS),
+        Gate::at_most("latency wave p99 (ms)", p99 as f64 / 1e6, MAX_P99_MS),
+    ];
+    if check {
+        // An unreadable file reads as no baseline, which fails the gates.
+        let json = std::fs::read_to_string(smoke::BENCH_JSON)
+            .unwrap_or_default();
+        let p99_us = (p99 / 1000) as f64;
+        gates.extend([
+            Gate::at_most_recorded(&json, "serve_p99_us", p99_us, CHECK_SLACK),
+            Gate::at_least_recorded(&json, "serve_qps", qps, CHECK_SLACK),
+        ]);
     }
-    if check && !check_against_recorded(p99 / 1000, qps) {
-        ok = false;
-    }
-    if !ok {
-        std::process::exit(1);
-    }
-    println!(
-        "PASS: every reply bit-identical; >= {MIN_QPS} qps, p99 <= \
-         {MAX_P99_MS} ms, {SCALE_CLIENTS} clients with zero drops"
+    smoke::enforce(
+        &gates,
+        &format!(
+            "every reply bit-identical; >= {MIN_QPS} qps, p99 <= \
+             {MAX_P99_MS} ms, {SCALE_CLIENTS} clients with zero drops"
+        ),
     );
 }

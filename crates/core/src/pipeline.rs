@@ -653,31 +653,22 @@ impl StudyData {
     /// corpus-wide ablation entry point: every metric downstream reflects
     /// the chosen analyzer behaviour.
     pub fn from_synth_with(repo: &SynthRepo, options: AnalysisOptions) -> Self {
-        Self::from_synth_cached(repo, options, None)
+        Self::run_cached(repo, options, None, |i| (repo.package(i), Vec::new()))
     }
 
-    /// [`Self::from_synth_with`] consulting a shared incremental
-    /// [`AnalysisCache`]: binaries whose `(content hash, options
-    /// fingerprint)` key is already resident skip parsing and analysis
-    /// entirely. The result is bit-identical to an un-cached run — the
-    /// cache stores only clean, panic-free successes of a deterministic
-    /// analysis — and the traffic lands in the diagnostics' cache
-    /// counters.
-    pub fn from_synth_cached(
-        repo: &SynthRepo,
-        options: AnalysisOptions,
-        cache: Option<&AnalysisCache>,
-    ) -> Self {
-        Self::run_cached(repo, options, cache, |i| (repo.package(i), Vec::new()))
-    }
-
-    /// [`Self::from_synth_cached`] over a pre-materialized corpus:
-    /// workers clone `packages[i]` instead of regenerating it. Package
-    /// synthesis costs more than an order of magnitude over a memcpy of
-    /// the same bytes, so anything that runs the pipeline repeatedly over
-    /// one repository (the corruption sweep above all) should materialize
-    /// once with [`SynthRepo::materialize_all`] and pay the corpus's byte
-    /// size in memory for the duration.
+    /// [`Self::from_synth_with`] over a pre-materialized corpus, consulting
+    /// a shared incremental [`AnalysisCache`]: binaries whose `(content
+    /// hash, options fingerprint)` key is already resident skip parsing
+    /// and analysis entirely. The result is bit-identical to an un-cached
+    /// run — the cache stores only clean, panic-free successes of a
+    /// deterministic analysis — and the traffic lands in the diagnostics'
+    /// cache counters. Workers clone `packages[i]` instead of
+    /// regenerating it. Package synthesis costs more than an order of
+    /// magnitude over a memcpy of the same bytes, so anything that runs
+    /// the pipeline repeatedly over one repository (the corruption sweep
+    /// above all) should materialize once with
+    /// [`SynthRepo::materialize_all`] and pay the corpus's byte size in
+    /// memory for the duration.
     pub fn from_packages_cached(
         repo: &SynthRepo,
         packages: &[Package],

@@ -855,6 +855,14 @@ fn reactor_run(
         } else {
             resume_backoff = RESUME_BACKOFF_MIN;
         }
+        // Liveness: an infinite sleep is safe only while the listener is
+        // registered, since only a new connection could then wake it.
+        debug_assert!(
+            timeout.is_some() || (accepting && paused_at.is_none()),
+            "reactor about to sleep forever with the listener unregistered \
+             (accepting {accepting}, paused_at {paused_at:?}, {} conns)",
+            conns.len()
+        );
         let batch = ep.wait(&mut events, timeout)?;
         ready.clear();
         ready.extend(batch.iter().map(|e| (e.data(), e.ready())));

@@ -559,6 +559,15 @@ fn enforce_budget(
     );
 }
 
+/// The client deadline for the next call of a chaos seed: what is left
+/// of its budget, at most `cap`, so one wedged call cannot run far past
+/// [`CHAOS_SEED_BUDGET`] before [`enforce_budget`] fires.
+fn budget_left(until: Instant, cap: Duration) -> Duration {
+    until
+        .saturating_duration_since(Instant::now())
+        .clamp(Duration::from_millis(1), cap)
+}
+
 /// Errno chaos through the real binary: the daemon runs with the
 /// syscall-fault shim armed (`--sys-faults "*:auto@every7"`, three
 /// seeds), injecting a site-plausible errno — `EINTR`, `EAGAIN`, short
@@ -610,7 +619,7 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
             let Ok(mut c) = Client::connect(
                 daemon.addr,
                 policy,
-                Duration::from_secs(10),
+                budget_left(until, Duration::from_secs(10)),
             ) else {
                 classified += 1;
                 continue;
@@ -647,7 +656,12 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
         for probe in 0..10 {
             let at = format!("liveness probe {probe}");
             enforce_budget(&mut daemon, until, seed, &at, (clean, classified));
-            let mut c = daemon.client();
+            let mut c = Client::connect(
+                daemon.addr,
+                RetryPolicy::default(),
+                budget_left(until, Duration::from_secs(10)),
+            )
+            .expect("connect to daemon");
             match c.call(&Request::Ping) {
                 Ok(Response::Pong { fingerprint, .. }) => {
                     assert_eq!(fingerprint, daemon.fingerprint);
@@ -672,7 +686,7 @@ fn errno_chaos_replies_stay_bit_identical_or_classified() {
             let Ok(mut c) = Client::connect(
                 daemon.addr,
                 policy,
-                Duration::from_secs(5),
+                budget_left(until, Duration::from_secs(5)),
             ) else {
                 break; // refused: the daemon is already exiting
             };
